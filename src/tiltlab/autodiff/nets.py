@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
-from .tape import Node, Tape
+from .tape import Node, Tape, gradient
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -136,3 +136,18 @@ def forward_on_tape(tape: Tape, model: MlpModel, param_nodes: dict[str, Node], x
         if i < model.n_layers - 1:
             h = tape.tanh(h) if model.activation == "tanh" else tape.relu(h)
     return h
+
+
+def input_gradient(model: MlpModel, x: np.ndarray, cotangent: np.ndarray | None = None) -> np.ndarray:
+    """d/dx of sum(model(x) * cotangent) at fixed parameters, shape of ``x``.
+
+    Without a cotangent every output counts once: the gradient of the
+    summed outputs.
+    """
+    tape = Tape()
+    xn = tape.param(x)
+    out = forward_on_tape(tape, model, bind_params(tape, model.params), xn)
+    if cotangent is not None:
+        out = tape.mul(out, tape.constant(cotangent))
+    (gx,) = gradient(tape.sumall(out), [xn])
+    return gx

@@ -1,4 +1,5 @@
-"""Adam with bias correction, as a pure function of (params, grads, state)."""
+"""Adam with bias correction, as a pure function of (params, grads, state),
+and the one descent step every trained net takes through it."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
+from .tape import Node, gradient
 
 
 @dataclass
@@ -51,3 +53,22 @@ def adam_step(
         new_params[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         new_m[k], new_v[k] = m, v
     return new_params, AdamState(new_m, new_v, t)
+
+
+def descend(
+    loss: Node,
+    nodes: dict[str, Node],
+    params: dict[str, np.ndarray],
+    state: AdamState,
+    lr: float,
+) -> tuple[dict[str, np.ndarray], AdamState, float]:
+    """One Adam step down ``loss``; returns (params, state, gradient norm).
+
+    ``nodes`` maps each block name to its leaf on the loss's tape. The
+    gradients are taken in sorted-name order and the norm is the
+    Euclidean norm over all blocks.
+    """
+    names = sorted(params)
+    grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
+    params, state = adam_step(params, grads, state, lr)
+    return params, state, float(np.sqrt(sum((g * g).sum() for g in grads.values())))

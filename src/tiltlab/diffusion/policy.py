@@ -195,14 +195,12 @@ def sample_trajectory(
     return Trajectory(states, noises, log_probs)
 
 
-def log_probs_under(policy: PolicyNet, traj: Trajectory, shift_source=None) -> np.ndarray:
+def log_probs_under(policy: PolicyNet, traj: Trajectory) -> np.ndarray:
     """Log densities of the stored transitions under another policy, (T, m)."""
     s = policy.schedule
     out = np.empty_like(traj.log_probs)
     for t in range(traj.n_steps, 0, -1):
         mu = reverse_mean(policy, traj.states[t], t)
-        if shift_source is not None:
-            mu = mu + shift_source.shift(traj.states[t], t)
         out[t - 1] = gaussian_log_density(traj.states[t - 1], mu, s.rev_var)
     return out
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import MlpModel, Tape, adam_init, adam_step, bind_params, evaluate, forward_on_tape, gradient, init_mlp
+from ..autodiff import MlpModel, Tape, adam_init, bind_params, descend, evaluate, forward_on_tape, init_mlp
 from ..errors import ContractError
 from .base import GaussianMixture
 from .schedule import DiffusionSchedule, forward_perturb
@@ -63,12 +63,9 @@ def train_denoiser(
         pred = forward_on_tape(tape, model, nodes, inp)
         resid = tape.sub(tape.constant(noise), pred)
         loss = tape.scale(tape.sumall(tape.square(resid)), 1.0 / batch)
-        names = sorted(params)
-        grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-        params, state = adam_step(params, grads, state, lr)
-        model = MlpModel(model.widths, model.activation, params)
+        params, state, _ = descend(loss, nodes, params, state, lr)
         losses.append(float(loss.value))
-    return model, losses
+    return MlpModel(model.widths, model.activation, params), losses
 
 
 def forward_perturb_batch(schedule: DiffusionSchedule, x0, t, noise) -> np.ndarray:

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from ..autodiff import AdamState, Tape, adam_step, gradient
+from ..autodiff import AdamState, Tape, descend
 from ..diffusion.policy import PolicyNet
 from ..errors import CapabilityError
 from ..rewards import RewardSpec, eval_reward, reward_on_tape
@@ -36,27 +36,24 @@ def reward_backprop_iteration(
     if not reward_spec.differentiable:
         raise CapabilityError("reward backpropagation needs a differentiable reward")
     t0 = time.perf_counter()
-    params = policy.params
     tape = Tape()
     nodes = bind_policy(tape, policy, trainable=True)
     pre_nodes = bind_policy(tape, pre_policy, trainable=False)
     terminal, kl = differentiable_rollout(
-        tape, policy, pre_policy, nodes, pre_nodes, cfg.batch, rng, cfg.alpha,
+        tape, policy, pre_policy, nodes, pre_nodes, cfg.batch, rng,
         final_step_noise=cfg.final_step_noise,
     )
     r = reward_on_tape(tape, reward_spec, terminal)
     objective = tape.sub(r, tape.scale(kl, cfg.alpha))
     loss = tape.scale(tape.sumall(objective), -1.0 / cfg.batch)
-    names = sorted(params)
-    grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-    params, opt = adam_step(params, grads, opt, cfg.lr)
+    params, opt, grad_norm = descend(loss, nodes, policy.params, opt, cfg.lr)
 
     record = TrainLogRecord(
         iteration=iteration,
         mean_reward=float(eval_reward(reward_spec, terminal.value).mean()),
         kl_estimate=float(kl.value.mean()),
         loss=float(loss.value),
-        grad_norm=float(np.sqrt(sum((g * g).sum() for g in grads.values()))),
+        grad_norm=grad_norm,
         wall_time=time.perf_counter() - t0,
     )
     return policy.with_params(params), opt, record

@@ -29,12 +29,7 @@ def kl_penalty(policy: PolicyNet, pre_policy: PolicyNet, traj: Trajectory) -> np
         or policy.schedule.rev_var != pre_policy.schedule.rev_var
     ):
         raise ContractError("policies live on different schedules")
-    s = policy.schedule
-    total = np.zeros(traj.batch)
-    for t in range(1, traj.n_steps + 1):
-        diff = reverse_mean(policy, traj.states[t], t) - reverse_mean(pre_policy, traj.states[t], t)
-        total += (diff * diff).sum(axis=1) / (2.0 * s.rev_var)
-    return total
+    return step_kl_terms(policy, pre_policy, traj).sum(axis=0)
 
 
 def step_kl_terms(policy: PolicyNet, pre_policy: PolicyNet, traj: Trajectory) -> np.ndarray:
@@ -110,7 +105,6 @@ def differentiable_rollout(
     pre_nodes: dict[str, Node],
     m: int,
     rng: np.random.Generator,
-    alpha: float,
     final_step_noise: bool = True,
 ) -> tuple[Node, Node]:
     """Reparameterized chain: states as tape functions of the parameters.

@@ -23,7 +23,9 @@ import time
 
 import numpy as np
 
-from ..autodiff import AdamState, MlpModel, Tape, adam_step, bind_params, evaluate, forward_on_tape, gradient
+from ..autodiff import (
+    AdamState, MlpModel, Tape, adam_step, bind_params, descend, evaluate, forward_on_tape, gradient,
+)
 from ..diffusion.policy import PolicyNet, Trajectory, log_probs_under, reverse_mean_on_tape
 from ..errors import ContractError, NumericError
 from ..rewards import RewardSpec, eval_reward
@@ -161,17 +163,14 @@ def pcl_iteration(
         term = tape.sumall(tape.square(res))
         total = term if total is None else tape.add(total, term)
     loss_p = tape.scale(total, 1.0 / cfg.batch)
-    names_p = sorted(policy.params)
-    grads_p = dict(zip(names_p, gradient(loss_p, [pnodes[k] for k in names_p])))
-    new_policy_params, opt_policy = adam_step(policy.params, grads_p, opt_policy, cfg.lr)
+    new_policy_params, opt_policy, norm_p = descend(loss_p, pnodes, policy.params, opt_policy, cfg.lr)
 
     record = TrainLogRecord(
         iteration=iteration,
         mean_reward=float(eval_reward(reward_spec, traj.terminal).mean()),
         kl_estimate=float(step_kl_terms(policy, pre_policy, traj).sum(axis=0).mean()),
         loss=msr,
-        grad_norm=float(np.sqrt(sum((g * g).sum() for g in grads_p.values())
-                                + sum((g * g).sum() for g in grads_v.values()))),
+        grad_norm=float(np.sqrt(norm_p**2 + sum((g * g).sum() for g in grads_v.values()))),
         wall_time=time.perf_counter() - t0,
     )
     new_value = MlpModel(value.widths, value.activation, new_value_params)

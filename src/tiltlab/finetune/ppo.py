@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from ..autodiff import AdamState, Tape, adam_step, gradient
+from ..autodiff import AdamState, Tape, descend
 from ..diffusion.policy import PolicyNet, Trajectory, reverse_mean_on_tape, sample_trajectory
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, step_kl_terms
@@ -87,11 +87,8 @@ def ppo_iteration(
         tape = Tape()
         nodes = bind_policy(tape, live, trainable=True)
         loss = ppo_surrogate(tape, live, nodes, traj, signals, cfg.clip)
-        names = sorted(params)
-        grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-        params, opt = adam_step(params, grads, opt, cfg.lr)
+        params, opt, grad_norm = descend(loss, nodes, params, opt, cfg.lr)
         loss_val = float(loss.value)
-        grad_norm = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
 
     record = TrainLogRecord(
         iteration=iteration,

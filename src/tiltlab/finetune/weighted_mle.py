@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from ..autodiff import AdamState, Tape, adam_step, gradient
+from ..autodiff import AdamState, Tape, descend
 from ..diffusion.policy import PolicyNet, reverse_mean, reverse_mean_on_tape
 from ..errors import ContractError
 from ..rewards import RewardSpec, eval_reward
@@ -70,7 +70,6 @@ def reward_weighted_mle_iteration(
     rewards = eval_reward(reward_spec, x0.reshape(-1, policy.dim)).reshape(s.n_steps, cfg.batch)
     weights = stabilized_weights(rewards, cfg.alpha)
 
-    params = policy.params
     tape = Tape()
     nodes = bind_policy(tape, policy, trainable=True)
     total = None
@@ -83,16 +82,14 @@ def reward_weighted_mle_iteration(
         diff = rho.value - reverse_mean(pre_policy, x_t[t - 1], t)
         kl_est += float((diff * diff).sum(axis=1).mean() / (2.0 * s.rev_var))
     loss = tape.scale(total, 1.0 / (cfg.batch * s.rev_var))
-    names = sorted(params)
-    grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-    params, opt = adam_step(params, grads, opt, cfg.lr)
+    params, opt, grad_norm = descend(loss, nodes, policy.params, opt, cfg.lr)
 
     record = TrainLogRecord(
         iteration=iteration,
         mean_reward=float(rewards.mean()),
         kl_estimate=kl_est,
         loss=float(loss.value),
-        grad_norm=float(np.sqrt(sum((g * g).sum() for g in grads.values()))),
+        grad_norm=grad_norm,
         wall_time=time.perf_counter() - t0,
     )
     return policy.with_params(params), opt, record

@@ -1,4 +1,4 @@
-from .value_models import ValueModel, fit_value_mc, fit_value_softq, log_mean_exp_backup, softq_regression_targets
+from .value_models import ValueModel, fit_value_mc, fit_value_softq, log_mean_exp_backup
 from .sources import (
     AffineValueShift,
     FittedValueShift,
@@ -14,7 +14,7 @@ from .sources import (
 from .sampling import GuidedPolicy, conditional_generate, guided_trajectory, value_weighted_sample
 
 __all__ = [
-    "ValueModel", "fit_value_mc", "fit_value_softq", "log_mean_exp_backup", "softq_regression_targets",
+    "ValueModel", "fit_value_mc", "fit_value_softq", "log_mean_exp_backup",
     "AffineValueShift", "FittedValueShift", "MixturePosteriorShift", "PathIntegralShift",
     "TweedieShift", "ZeroShift", "affine_shift_from_chain", "path_integral_grad",
     "tweedie_posterior_mean", "tweedie_value_grad",

@@ -7,7 +7,7 @@ mean and samples with the unchanged reverse variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,18 +33,31 @@ def value_weighted_sample(
     n: int,
     final_step_noise: bool = True,
 ) -> tuple[np.ndarray, dict]:
-    """Run the shifted reverse chain; returns terminal samples and shift diagnostics."""
-    traj = guided_trajectory(guided, rng, n, final_step_noise)
-    s = guided.pre_policy.schedule
-    shift_norms = []
-    for t in range(s.n_steps, 0, -1):
-        sh = guided.source.shift(traj.states[t], t)
-        shift_norms.append(float(np.sqrt((sh * sh).sum(axis=1)).mean()))
+    """Run the shifted reverse chain; returns terminal samples and shift diagnostics.
+
+    The diagnostics are the mean row norms of the shifts the chain applied,
+    step T first.
+    """
+    recorder = _ShiftNorms(guided.source)
+    traj = guided_trajectory(replace(guided, source=recorder), rng, n, final_step_noise)
     diagnostics = {
-        "mean_shift_norm_per_step": shift_norms,
-        "max_shift_norm": max(shift_norms) if shift_norms else 0.0,
+        "mean_shift_norm_per_step": recorder.norms,
+        "max_shift_norm": max(recorder.norms) if recorder.norms else 0.0,
     }
     return traj.terminal, diagnostics
+
+
+@dataclass
+class _ShiftNorms:
+    """Passes a source's shifts through, recording each call's mean row norm."""
+
+    source: object
+    norms: list[float] = field(default_factory=list)
+
+    def shift(self, x, t):
+        sh = self.source.shift(x, t)
+        self.norms.append(float(np.sqrt((sh * sh).sum(axis=1)).mean()))
+        return sh
 
 
 def guided_trajectory(

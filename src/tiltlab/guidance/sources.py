@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import gaussmix
-from ..autodiff import Tape, bind_params, forward_on_tape, gradient
+from ..autodiff import input_gradient
 from ..diffusion.base import GaussianMixture
 from ..diffusion.policy import PolicyNet, reverse_mean
 from ..errors import ContractError
@@ -115,19 +115,11 @@ def _posterior_mean_jacobian(policy: PolicyNet, x: np.ndarray, t: int) -> np.nda
 
 
 def _net_jacobian(policy: PolicyNet, x: np.ndarray, t: int) -> np.ndarray:
-    s = policy.schedule
     m, d = x.shape
+    inp = np.hstack([x, np.broadcast_to(policy.schedule.time_features(t), (m, 2))])
     out = np.empty((m, d, d))
     for j in range(d):
-        tape = Tape()
-        xn = tape.param(x)
-        feats = tape.constant(np.broadcast_to(s.time_features(t), (m, 2)))
-        net_out = forward_on_tape(tape, policy.net, bind_params(tape, policy.net.params),
-                                  tape.concat_cols(xn, feats))
-        col = tape.sumall(tape.mul(net_out, tape.constant(
-            np.broadcast_to(np.eye(d)[j], (m, d)))))
-        (gx,) = gradient(col, [xn])
-        out[:, j, :] = gx
+        out[:, j, :] = input_gradient(policy.net, inp, np.broadcast_to(np.eye(d)[j], (m, d)))[:, :d]
     return out
 
 

@@ -19,11 +19,11 @@ from ..autodiff import (
     MlpModel,
     Tape,
     adam_init,
-    adam_step,
     bind_params,
+    descend,
     forward_on_tape,
-    gradient,
     init_mlp,
+    input_gradient,
 )
 from ..diffusion.policy import PolicyNet, reverse_mean, sample_trajectory
 from ..errors import ConfigError, ContractError
@@ -47,14 +47,7 @@ class ValueModel:
     def grad_x(self, x: np.ndarray, t: int) -> np.ndarray:
         """d v / d x by differentiating the approximator, shape (m, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        d = x.shape[1]
-        tape = Tape()
-        xn = tape.param(x)
-        feats = tape.constant(np.broadcast_to(self.schedule.time_features(t), (x.shape[0], 2)))
-        out = forward_on_tape(tape, self.model, bind_params(tape, self.model.params),
-                              tape.concat_cols(xn, feats))
-        (gx,) = gradient(tape.sumall(out), [xn])
-        return gx[:, :d]
+        return input_gradient(self.model, value_input(self.schedule, x, t))[:, :x.shape[1]]
 
 
 def log_mean_exp_backup(v_prev: np.ndarray, alpha: float) -> np.ndarray:
@@ -117,16 +110,14 @@ def fit_value_mc(
         step_lr = lr if (final_lr is None or step < steps // 2) else final_lr
         idx = rng.integers(0, x_all.shape[0], size=min(batch, x_all.shape[0]))
         tape = Tape()
-        nodes = bind_params(tape, model.params)
+        nodes = bind_params(tape, params)
         h = tape.sum_cols(forward_on_tape(tape, model, nodes, tape.constant(x_all[idx])))
         pred = tape.exp(tape.scale(tape.shift(h, -r_max), 1.0 / alpha))
         resid = tape.sub(pred, tape.constant(y_all[idx]))
         loss = tape.scale(tape.sumall(tape.square(resid)), 1.0 / len(idx))
-        names = sorted(params)
-        grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-        params, opt = adam_step(params, grads, opt, step_lr)
-        model = MlpModel(model.widths, model.activation, params)
+        params, opt, _ = descend(loss, nodes, params, opt, step_lr)
         losses.append(float(loss.value))
+    model = MlpModel(model.widths, model.activation, params)
     report = {"final_loss": losses[-1], "r_max": r_max, "rows": int(x_all.shape[0])}
     return ValueModel(model, s, alpha, "monte-carlo", report)
 
@@ -185,33 +176,13 @@ def fit_value_softq(
         for _ in range(steps_per_sweep):
             idx = rng.integers(0, x_all.shape[0], size=min(2048, x_all.shape[0]))
             tape = Tape()
-            nodes = bind_params(tape, model.params)
+            nodes = bind_params(tape, params)
             h = tape.sum_cols(forward_on_tape(tape, model, nodes, tape.constant(x_all[idx])))
             resid = tape.scale(tape.sub(h, tape.constant(y_all[idx])), 1.0 / alpha)
             loss = tape.scale(tape.sumall(tape.square(resid)), 1.0 / len(idx))
-            names = sorted(params)
-            grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-            params, opt = adam_step(params, grads, opt, lr)
-            model = MlpModel(model.widths, model.activation, params)
+            params, opt, _ = descend(loss, nodes, params, opt, lr)
 
+    model = MlpModel(model.widths, model.activation, params)
     report = {"sweeps": sweeps, "seconds": time.perf_counter() - t_start}
     return ValueModel(model, s, alpha, "soft-q", report)
 
-
-def softq_regression_targets(policy: PolicyNet, reward_spec: RewardSpec, alpha: float,
-                             x_t: np.ndarray, t: int, rng: np.random.Generator,
-                             inner_draws: int, value_model=None) -> np.ndarray:
-    """One level of the soft-Q target computation, exposed for exactness tests."""
-    if inner_draws < 2:
-        raise ConfigError(f"need at least 2 inner draws, got {inner_draws}")
-    s = policy.schedule
-    x_t = np.atleast_2d(x_t)
-    n, d = x_t.shape
-    mu = reverse_mean(policy, x_t, t)
-    draws = mu[:, None, :] + s.rev_std * rng.standard_normal((n, inner_draws, d))
-    flat = draws.reshape(-1, d)
-    if t == 1 or value_model is None:
-        v_prev = eval_reward(reward_spec, flat)
-    else:
-        v_prev = value_model.value(flat, t - 1)
-    return log_mean_exp_backup(v_prev.reshape(n, inner_draws), alpha)

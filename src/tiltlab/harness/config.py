@@ -69,7 +69,7 @@ def validate_config(cfg: dict) -> None:
     if kind in ("finetune", "guide", "oracle"):
         _validate_reward(cfg)
     if kind == "finetune":
-        ft = _finetune_config(cfg)
+        ft = build_finetune_config(cfg)
         reward = build_reward(cfg)
         ft.check_reward(reward)
     if kind == "guide":
@@ -224,7 +224,7 @@ def build_reward(cfg: dict):
     raise ConfigError(f"reward.kind: unknown kind {kind!r}")
 
 
-def _finetune_config(cfg: dict) -> FineTuneConfig:
+def build_finetune_config(cfg: dict) -> FineTuneConfig:
     ft = dict(cfg.get("finetune", {}))
     ft.setdefault("seed", cfg.get("seed", 0))
     if "value_hidden" in ft:
@@ -236,7 +236,3 @@ def _finetune_config(cfg: dict) -> FineTuneConfig:
     fcfg = FineTuneConfig(**ft)
     fcfg.validate()
     return fcfg
-
-
-def build_finetune_config(cfg: dict) -> FineTuneConfig:
-    return _finetune_config(cfg)

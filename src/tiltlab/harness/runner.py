@@ -107,7 +107,8 @@ def write_samples_csv(path: Path, samples: np.ndarray) -> None:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    rows = list(csv.reader(open(path)))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     return np.array([[float(v) for v in row] for row in rows[1:]])
 
 
@@ -329,7 +330,7 @@ def _run_conditional(cfg: dict, out: Path) -> None:
     write_samples_csv(out / "samples.csv", samples)
     base = cfgmod.build_base(cfg)
     target_mean = base.means[label]
-    correct = float(np.mean(np.sign(samples[:, 0]) == np.sign(target_mean[0]))) if base.dim == 1 else float("0")
+    correct = float(np.mean(base.responsibilities(samples).argmax(axis=1) == label))
     metrics = {
         "fraction_correct_side": correct,
         "sample_mean": float(samples[:, 0].mean()),

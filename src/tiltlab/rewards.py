@@ -23,12 +23,12 @@ from .autodiff import (
     Node,
     Tape,
     adam_init,
-    adam_step,
     bind_params,
+    descend,
     evaluate,
     forward_on_tape,
-    gradient,
     init_mlp,
+    input_gradient,
     zero_mlp,
 )
 from .diffusion.base import GaussianMixture
@@ -138,11 +138,7 @@ def grad_reward(spec: RewardSpec, x) -> np.ndarray:
         mix = spec.mixture
         return gaussmix.component_posterior_grad(x, mix.log_weights, mix.means, mix.variances, spec.label)
     if isinstance(spec, LearnedReward):
-        tape = Tape()
-        xn = tape.param(x)
-        out = forward_on_tape(tape, spec.model, bind_params(tape, spec.model.params), xn)
-        (gx,) = gradient(tape.sumall(out), [xn])
-        return gx
+        return input_gradient(spec.model, x)
     if isinstance(spec, BlackBoxReward):
         if not spec.differentiable or spec.grad_fn is None:
             raise CapabilityError("black-box reward declared non-differentiable")
@@ -223,7 +219,8 @@ class FeedbackDataset:
 
     @classmethod
     def load_csv(cls, path, provenance: str | None = None) -> "FeedbackDataset":
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         data = np.array([[float(v) for v in row] for row in rows[1:]])
         return cls(data[:, :-1], data[:, -1], provenance or str(path))
 
@@ -262,12 +259,9 @@ def fit_reward_regressor(
         pred = forward_on_tape(tape, model, nodes, tape.constant(x_tr[idx]))
         resid = tape.sub(pred, tape.constant(r_tr[idx][:, None]))
         loss = tape.scale(tape.sumall(tape.square(resid)), 1.0 / len(idx))
-        names = sorted(params)
-        grads = dict(zip(names, gradient(loss, [nodes[k] for k in names])))
-        params, state = adam_step(params, grads, state, lr)
-        model = MlpModel(model.widths, model.activation, params)
+        params, state, _ = descend(loss, nodes, params, state, lr)
 
-    spec = LearnedReward(model)
+    spec = LearnedReward(MlpModel(model.widths, model.activation, params))
     rep = {
         "train_rmse": _rmse(spec, data.x[train], data.r[train]),
         "holdout_rmse": _rmse(spec, data.x[hold], data.r[hold]),

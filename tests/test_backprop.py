@@ -18,7 +18,7 @@ def test_kl_gradient_is_exactly_zero_at_pretrained(residual16, analytic16):
     nodes = bind_policy(tape, residual16, trainable=True)
     pre_nodes = bind_policy(tape, analytic16, trainable=False)
     _, kl = differentiable_rollout(tape, residual16, analytic16, nodes, pre_nodes,
-                                   m=16, rng=make_rng(1), alpha=1.0)
+                                   m=16, rng=make_rng(1))
     grads = gradient(tape.sumall(kl), [nodes[k] for k in sorted(residual16.params)])
     for g in grads:
         assert np.array_equal(g, np.zeros_like(g))

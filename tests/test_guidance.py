@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tiltlab.diffusion import PolicyNet, make_schedule, sample_trajectory
+from tiltlab.autodiff import init_mlp
+from tiltlab.diffusion import GaussianMixture, PolicyNet, make_schedule, sample_trajectory
 from tiltlab.errors import ContractError
 from tiltlab.guidance import (
     GuidedPolicy,
@@ -16,7 +17,7 @@ from tiltlab.guidance import (
     value_weighted_sample,
 )
 from tiltlab.oracle import chain_stats, grid_soft_solve, GridMDP
-from tiltlab.rewards import BlackBoxReward, LinearReward, QuadraticReward
+from tiltlab.rewards import BlackBoxReward, LinearReward, QuadraticReward, eval_reward
 from tiltlab.streams import make_rng
 
 
@@ -80,6 +81,25 @@ def test_tweedie_linear_reward_gradient_constant_in_x(analytic16):
     xs = np.linspace(-3, 3, 9).reshape(-1, 1)
     grads = tweedie_value_grad(analytic16, LinearReward([1.7]), xs, 6)
     assert np.abs(grads - grads[0]).max() < 1e-12
+
+
+def test_tweedie_grad_through_residual_net_matches_finite_differences(sched16):
+    # A nonzero net makes the noise map's Jacobian carry a network part.
+    base = GaussianMixture(np.array([0.4, 0.6]), np.array([[-2.0, 1.0], [1.5, -0.5]]), np.array([1.0, 0.7]))
+    policy = PolicyNet(sched16, base=base, net=init_mlp([4, 8, 8, 2], make_rng(20)))
+    spec = QuadraticReward(np.array([[-0.5, 0.2], [0.2, -0.3]]), np.array([1.0, -0.5]))
+    xs = make_rng(21).standard_normal((6, 2))
+    h = 1e-5
+    for t in (1, 5, 16):
+        got = tweedie_value_grad(policy, spec, xs, t)
+        want = np.empty_like(xs)
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            up = eval_reward(spec, tweedie_posterior_mean(policy, xs + e, t))
+            down = eval_reward(spec, tweedie_posterior_mean(policy, xs - e, t))
+            want[:, j] = (up - down) / (2 * h)
+        assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(want).max())
 
 
 def test_tweedie_requires_differentiable_reward(analytic16):

@@ -1,11 +1,20 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
-from tiltlab.harness import emit_plotdata, main, read_metrics, read_samples_csv, run_experiment
+from tiltlab.harness import (
+    emit_plotdata,
+    main,
+    read_metrics,
+    read_samples_csv,
+    run_experiment,
+    write_samples_csv,
+)
 from tiltlab.oracle import tilted_gaussian_target
+from tiltlab.rewards import FeedbackDataset
 from tiltlab.streams import make_rng
 
 
@@ -144,6 +153,32 @@ def test_guide_run_zero_estimator(tmp_path):
     assert read_samples_csv(out / "samples.csv").shape == (300, 1)
     diag = json.loads((out / "diagnostics.jsonl").read_text())
     assert diag["max_shift_norm"] == 0.0
+
+
+def test_conditional_run_two_dim_counts_label_component(tmp_path):
+    cfg = {
+        "kind": "conditional",
+        "seed": 0,
+        "base": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-3.0, -1.0], [3.0, 1.0]],
+                 "stds": [1.0, 1.0]},
+        "schedule": {"steps": 32, "horizon": 6.0},
+        "policy": {"kind": "analytic"},
+        "conditional": {"label": 0, "samples": 400, "method": "value-weighted"},
+    }
+    out = tmp_path / "c"
+    assert run_experiment(cfg, out) == 0
+    metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
+    assert metrics["fraction_correct_side"] > 0.9
+
+
+def test_csv_loaders_close_their_files(tmp_path):
+    write_samples_csv(tmp_path / "samples.csv", np.zeros((3, 2)))
+    FeedbackDataset(np.zeros((3, 1)), np.zeros(3)).save_csv(tmp_path / "feedback.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_samples_csv(tmp_path / "samples.csv")
+        FeedbackDataset.load_csv(tmp_path / "feedback.csv")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_eval_run_between_sample_files(tmp_path):
