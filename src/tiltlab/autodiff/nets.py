@@ -96,10 +96,6 @@ def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
-def params_close(a: dict, b: dict, atol=0.0) -> bool:
-    return set(a) == set(b) and all(np.allclose(a[k], b[k], rtol=0.0, atol=atol) for k in a)
-
-
 def param_distance(a: dict, b: dict) -> float:
     """Euclidean distance between two parameter sets with matching blocks."""
     return float(np.sqrt(sum(((a[k] - b[k]) ** 2).sum() for k in a)))

@@ -225,22 +225,12 @@ def gradient(output: Node, wrt: list[Node]) -> list[np.ndarray]:
             raise ContractError("wrt node is not on the output's tape")
 
     nodes = tape.nodes
-    # Restrict the sweep to ancestors of the output.
-    needed = np.zeros(len(nodes), dtype=bool)
-    stack = [output.idx]
-    needed[output.idx] = True
-    while stack:
-        i = stack.pop()
-        for p in nodes[i].parents:
-            if not needed[p]:
-                needed[p] = True
-                stack.append(p)
-
     grads: list = [None] * len(nodes)
     grads[output.idx] = np.ones_like(output.value)
 
+    # Only ancestors of the output ever receive a gradient; the rest are skipped.
     for i in range(output.idx, -1, -1):
-        if not needed[i] or grads[i] is None:
+        if grads[i] is None:
             continue
         node = nodes[i]
         g = grads[i]

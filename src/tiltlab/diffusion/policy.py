@@ -163,6 +163,8 @@ def sample_trajectory(
     n: int = 1,
     shift_source=None,
     final_step_noise: bool = True,
+    pre_policy: PolicyNet | None = None,
+    switch=0,
 ) -> Trajectory:
     """Run the reverse chain from x_T ~ N(0, I) with log-density bookkeeping.
 
@@ -170,16 +172,33 @@ def sample_trajectory(
     touching the policy; it must expose ``shift(x, t) -> (n, d)``.
     Setting ``final_step_noise=False`` emits the mean at the last step,
     the alternative convention kept for ablations.
+
+    ``switch`` (one index, or one per row) composes a roll-in: a row runs
+    ``policy`` at steps t > switch and ``pre_policy`` at t <= switch, and
+    its log densities are recorded under the policy that generated it.
     """
     s = policy.schedule
     T, d = s.n_steps, policy.dim
+    switch = np.broadcast_to(np.asarray(switch), (n,))
+    if np.any((switch < 0) | (switch > T)):
+        raise ContractError(f"switch index outside [0, {T}]")
+    if pre_policy is None and np.any(switch > 0):
+        raise ContractError("a switch above 0 needs a pre_policy")
     states = np.empty((T + 1, n, d))
     noises = np.zeros((T, n, d))
     log_probs = np.empty((T, n))
     x = rng.standard_normal((n, d))
     states[T] = x
     for t in range(T, 0, -1):
-        mu = reverse_mean(policy, x, t)
+        cur = switch < t
+        if cur.all():
+            mu = reverse_mean(policy, x, t)
+        elif not cur.any():
+            mu = reverse_mean(pre_policy, x, t)
+        else:
+            mu = np.empty_like(x)
+            mu[cur] = reverse_mean(policy, x[cur], t)
+            mu[~cur] = reverse_mean(pre_policy, x[~cur], t)
         if shift_source is not None:
             mu = mu + shift_source.shift(x, t)
         if t == 1 and not final_step_noise:

@@ -1,6 +1,5 @@
 from .config import ALGORITHMS, FineTuneConfig, TrainLogRecord
 from .common import (
-    composed_rollout,
     differentiable_rollout,
     kl_penalty,
     rollin_trajectory,
@@ -11,7 +10,6 @@ from .ppo import ppo_iteration, ppo_signals, ppo_surrogate_value
 from .backprop import reward_backprop_iteration
 from .weighted_mle import collect_mle_tuples, reward_weighted_mle_iteration
 from .pcl import (
-    consistency_residuals,
     eval_value,
     k_step_residuals,
     pcl_iteration,
@@ -24,12 +22,12 @@ from .driver import FineTuneResult, run_finetune
 
 __all__ = [
     "ALGORITHMS", "FineTuneConfig", "TrainLogRecord",
-    "composed_rollout", "differentiable_rollout", "kl_penalty", "rollin_trajectory",
+    "differentiable_rollout", "kl_penalty", "rollin_trajectory",
     "stabilized_weights", "step_kl_terms",
     "ppo_iteration", "ppo_signals", "ppo_surrogate_value",
     "reward_backprop_iteration",
     "collect_mle_tuples", "reward_weighted_mle_iteration",
-    "consistency_residuals", "eval_value", "k_step_residuals", "pcl_iteration",
+    "eval_value", "k_step_residuals", "pcl_iteration",
     "pcl_residual_arrays", "pcl_value_gradient", "trajectory_balance_residual", "value_input",
     "FineTuneResult", "run_finetune",
 ]

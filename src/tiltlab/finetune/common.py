@@ -9,7 +9,6 @@ from ..autodiff import Node, Tape, bind_params, forward_on_tape
 from ..diffusion.policy import (
     PolicyNet,
     Trajectory,
-    gaussian_log_density,
     reverse_mean,
     reverse_mean_on_tape,
     sample_trajectory,
@@ -144,43 +143,10 @@ def rollin_trajectory(
     and below it)."""
     kind = rollin.split(":")[0]
     if kind == "current":
-        return sample_trajectory(policy, rng, m, final_step_noise=final_step_noise)
-    if kind == "pretrained":
-        return sample_trajectory(pre_policy, rng, m, final_step_noise=final_step_noise)
-    switch = int(rollin.split(":")[1])
-    return composed_rollout(policy, pre_policy, switch, m, rng, final_step_noise)
-
-
-def composed_rollout(
-    policy: PolicyNet,
-    pre_policy: PolicyNet,
-    switch: int,
-    m: int,
-    rng: np.random.Generator,
-    final_step_noise: bool = True,
-) -> Trajectory:
-    """Run the current policy for steps t > switch and the pre-trained one
-    for t <= switch; log densities recorded under the generating policy."""
-    s = policy.schedule
-    T, d = s.n_steps, policy.dim
-    if not 0 <= switch <= T:
-        raise ContractError(f"switch index {switch} outside [0, {T}]")
-    states = np.empty((T + 1, m, d))
-    noises = np.zeros((T, m, d))
-    log_probs = np.empty((T, m))
-    x = rng.standard_normal((m, d))
-    states[T] = x
-    for t in range(T, 0, -1):
-        gen = policy if t > switch else pre_policy
-        mu = reverse_mean(gen, x, t)
-        if t == 1 and not final_step_noise:
-            x = mu.copy()
-        else:
-            z = rng.standard_normal((m, d))
-            noises[t - 1] = z
-            x = mu + s.rev_std * z
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite state at reverse step {t}")
-        log_probs[t - 1] = gaussian_log_density(x, mu, s.rev_var)
-        states[t - 1] = x
-    return Trajectory(states, noises, log_probs)
+        switch = 0
+    elif kind == "pretrained":
+        switch = policy.schedule.n_steps
+    else:
+        switch = int(rollin.split(":")[1])
+    return sample_trajectory(policy, rng, m, final_step_noise=final_step_noise,
+                             pre_policy=pre_policy, switch=switch)

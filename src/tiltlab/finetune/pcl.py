@@ -44,11 +44,6 @@ def eval_value(model: MlpModel, schedule, x: np.ndarray, t: int) -> np.ndarray:
     return evaluate(model, value_input(schedule, x, t))[:, 0]
 
 
-def consistency_residuals(v_top, lp_cur, v_bottom, lp_pre, alpha: float) -> np.ndarray:
-    """v_t/alpha + log p_theta - v_{t-1}/alpha - log p_pre, elementwise."""
-    return np.asarray(v_top) / alpha + np.asarray(lp_cur) - np.asarray(v_bottom) / alpha - np.asarray(lp_pre)
-
-
 def k_step_residuals(values: np.ndarray, lp_cur: np.ndarray, lp_pre: np.ndarray,
                      alpha: float, k: int) -> np.ndarray:
     """Residuals of the k-step consistency identity.

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from ..autodiff import AdamState, Tape, descend
-from ..diffusion.policy import PolicyNet, reverse_mean, reverse_mean_on_tape
+from ..diffusion.policy import PolicyNet, reverse_mean, reverse_mean_on_tape, sample_trajectory
 from ..errors import ContractError
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, stabilized_weights
@@ -30,27 +30,17 @@ def collect_mle_tuples(
     final_step_noise: bool = True,
 ):
     """Per level t: x_t from the current-policy prefix, x_{t-1} and x_0 from
-    the pre-trained suffix. Returns (x_t, x_prev, x0) arrays of shape (T, m, d)."""
-    s = policy.schedule
-    T, d = s.n_steps, policy.dim
-    x_t = np.empty((T, m, d))
-    x_prev = np.empty((T, m, d))
-    x0 = np.empty((T, m, d))
-    for t in range(T, 0, -1):
-        x = rng.standard_normal((m, d))
-        for k in range(T, t, -1):  # current-policy prefix down to x_t
-            x = reverse_mean(policy, x, k) + s.rev_std * rng.standard_normal((m, d))
-        x_t[t - 1] = x
-        for k in range(t, 0, -1):  # pre-trained suffix
-            mu = reverse_mean(pre_policy, x, k)
-            if k == 1 and not final_step_noise:
-                x = mu
-            else:
-                x = mu + s.rev_std * rng.standard_normal((m, d))
-            if k == t:
-                x_prev[t - 1] = x
-        x0[t - 1] = x
-    return x_t, x_prev, x0
+    the pre-trained suffix. Returns (x_t, x_prev, x0) arrays of shape (T, m, d).
+
+    All T levels run as one chain of T*m rows; rows (t-1)*m .. t*m - 1
+    switch to the pre-trained policy at step t.
+    """
+    T = policy.schedule.n_steps
+    traj = sample_trajectory(policy, rng, T * m, final_step_noise=final_step_noise,
+                             pre_policy=pre_policy, switch=np.repeat(np.arange(1, T + 1), m))
+    states = traj.states.reshape(T + 1, T, m, policy.dim)
+    level = np.arange(T)
+    return states[level + 1, level], states[level, level], states[0]
 
 
 def reward_weighted_mle_iteration(

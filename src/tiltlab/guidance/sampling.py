@@ -7,12 +7,12 @@ mean and samples with the unchanged reverse variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..diffusion.base import GaussianMixture
-from ..diffusion.policy import PolicyNet, Trajectory, sample_trajectory
+from ..diffusion.policy import PolicyNet, sample_trajectory
 from ..errors import TargetDegeneracyError
 from ..rewards import ClassifierReward
 from .sources import MixturePosteriorShift
@@ -39,7 +39,8 @@ def value_weighted_sample(
     step T first.
     """
     recorder = _ShiftNorms(guided.source)
-    traj = guided_trajectory(replace(guided, source=recorder), rng, n, final_step_noise)
+    traj = sample_trajectory(guided.pre_policy, rng, n, shift_source=recorder,
+                             final_step_noise=final_step_noise)
     diagnostics = {
         "mean_shift_norm_per_step": recorder.norms,
         "max_shift_norm": max(recorder.norms) if recorder.norms else 0.0,
@@ -58,19 +59,6 @@ class _ShiftNorms:
         sh = self.source.shift(x, t)
         self.norms.append(float(np.sqrt((sh * sh).sum(axis=1)).mean()))
         return sh
-
-
-def guided_trajectory(
-    guided: GuidedPolicy,
-    rng: np.random.Generator,
-    n: int,
-    final_step_noise: bool = True,
-) -> Trajectory:
-    return sample_trajectory(
-        guided.pre_policy, rng, n,
-        shift_source=guided.source,
-        final_step_noise=final_step_noise,
-    )
 
 
 def conditional_generate(

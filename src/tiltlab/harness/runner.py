@@ -155,16 +155,13 @@ def _run_finetune(cfg: dict, out: Path) -> None:
     fcfg = dataclasses.replace(cfgmod.build_finetune_config(cfg), seed=seed)
     ckpt_every = int(cfg.get("checkpoint_every", 0))
 
-    log_path = out / "train_log.jsonl"
-    log_fh = open(log_path, "w")
+    with open(out / "train_log.jsonl", "w") as log_fh:
+        def callback(i, policy, rec):
+            log_fh.write(rec.to_json() + "\n")
+            if ckpt_every and (i + 1) % ckpt_every == 0:
+                save_model(out / f"checkpoint_{i + 1:06d}.txt", policy.net)
 
-    def callback(i, policy, rec):
-        log_fh.write(rec.to_json() + "\n")
-        if ckpt_every and (i + 1) % ckpt_every == 0:
-            save_model(out / f"checkpoint_{i + 1:06d}.txt", policy.net)
-
-    result = run_finetune(pre, reward, fcfg, callback=callback)
-    log_fh.close()
+        result = run_finetune(pre, reward, fcfg, callback=callback)
     save_model(out / "checkpoint_final.txt", result.policy.net)
     if result.value is not None:
         save_model(out / "value_final.txt", result.value)
@@ -329,12 +326,10 @@ def _run_conditional(cfg: dict, out: Path) -> None:
                                       finetune_cfg=fcfg)
     write_samples_csv(out / "samples.csv", samples)
     base = cfgmod.build_base(cfg)
-    target_mean = base.means[label]
     correct = float(np.mean(base.responsibilities(samples).argmax(axis=1) == label))
     metrics = {
         "fraction_correct_side": correct,
-        "sample_mean": float(samples[:, 0].mean()),
-        "target_component_mean": float(target_mean[0]),
+        "mean_gap_to_component": float(np.linalg.norm(samples.mean(axis=0) - base.means[label])),
     }
     append_metrics(out / "metrics.jsonl", make_records(_run_id(out), metrics, n=n))
 

@@ -4,12 +4,13 @@ import pytest
 from tiltlab.diffusion import (
     PolicyNet,
     add_residual_net,
+    gaussian_log_density,
     make_schedule,
     reverse_mean,
     sample_trajectory,
 )
 from tiltlab.errors import ContractError, NumericError
-from tiltlab.finetune import composed_rollout, kl_penalty, stabilized_weights
+from tiltlab.finetune import kl_penalty, stabilized_weights
 from tiltlab.streams import make_rng
 
 
@@ -91,23 +92,33 @@ def test_stabilized_weights_guards():
 
 def test_composed_rollout_switch_semantics(analytic16, residual16):
     # Above the switch the generator is the current policy; at and below it,
-    # the pre-trained one. Verify via the stored log densities.
+    # the pre-trained one. Verify via the stored log densities, for one
+    # switch shared by the batch and for a switch per row.
     rng = make_rng(7)
     policy = residual16.with_params(
         {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
     )
-    switch = 8
-    traj = composed_rollout(policy, analytic16, switch, 64, make_rng(8))
-    from tiltlab.diffusion import gaussian_log_density
-
     s = policy.schedule
-    for t in (s.n_steps, switch + 1):
-        mu = reverse_mean(policy, traj.states[t], t)
-        assert np.allclose(traj.log_probs[t - 1],
-                           gaussian_log_density(traj.states[t - 1], mu, s.rev_var))
-    for t in (switch, 1):
-        mu = reverse_mean(analytic16, traj.states[t], t)
-        assert np.allclose(traj.log_probs[t - 1],
-                           gaussian_log_density(traj.states[t - 1], mu, s.rev_var))
+    T = s.n_steps
+
+    def check_rows(traj, switches):
+        for row, switch in enumerate(switches):
+            for t in {T, switch + 1, switch, 1} - {0, T + 1}:
+                gen = policy if t > switch else analytic16
+                mu = reverse_mean(gen, traj.states[t, row], t)
+                assert np.allclose(traj.log_probs[t - 1, row],
+                                   gaussian_log_density(traj.states[t - 1, row], mu[0], s.rev_var))
+
+    switch = 8
+    traj = sample_trajectory(policy, make_rng(8), 64, pre_policy=analytic16, switch=switch)
+    check_rows(traj, [switch] * 64)
+
+    per_row = np.tile([0, 8, T], 7)
+    traj = sample_trajectory(policy, make_rng(9), per_row.size, pre_policy=analytic16,
+                             switch=per_row)
+    check_rows(traj, per_row)
+
     with pytest.raises(ContractError):
-        composed_rollout(policy, analytic16, s.n_steps + 1, 4, make_rng(9))
+        sample_trajectory(policy, make_rng(9), 4, pre_policy=analytic16, switch=T + 1)
+    with pytest.raises(ContractError):
+        sample_trajectory(policy, make_rng(9), 3, pre_policy=analytic16, switch=[0, 8, T + 1])

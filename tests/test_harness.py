@@ -169,6 +169,34 @@ def test_conditional_run_two_dim_counts_label_component(tmp_path):
     assert run_experiment(cfg, out) == 0
     metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
     assert metrics["fraction_correct_side"] > 0.9
+    # The gap covers both coordinates of the label's component mean.
+    samples = read_samples_csv(out / "samples.csv")
+    gap = np.linalg.norm(samples.mean(axis=0) - np.array([-3.0, -1.0]))
+    assert metrics["mean_gap_to_component"] == pytest.approx(gap, rel=1e-12)
+    assert "sample_mean" not in metrics and "target_component_mean" not in metrics
+
+
+def test_finetune_log_closed_when_training_fails(tmp_path, monkeypatch, capsys):
+    import gc
+
+    from tiltlab.errors import NumericError
+    from tiltlab.finetune import TrainLogRecord
+    from tiltlab.harness import runner
+
+    def failing_finetune(pre, reward, cfg, callback=None):
+        callback(0, pre, TrainLogRecord(0, 1.0, 0.0, 0.5, 0.1, 0.0))
+        raise NumericError("injected failure after one record")
+
+    monkeypatch.setattr(runner, "run_finetune", failing_finetune)
+    out = tmp_path / "r"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_experiment(tiny_finetune_cfg(), out) == 3
+        gc.collect()
+    assert "injected failure after one record" in capsys.readouterr().err
+    lines = (out / "train_log.jsonl").read_text().splitlines()
+    assert [json.loads(l)["iteration"] for l in lines] == [0]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_csv_loaders_close_their_files(tmp_path):

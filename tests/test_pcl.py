@@ -6,7 +6,6 @@ from tiltlab.diffusion import GaussianMixture, PolicyNet, add_residual_net, make
 from tiltlab.errors import ContractError
 from tiltlab.finetune import (
     FineTuneConfig,
-    consistency_residuals,
     k_step_residuals,
     pcl_residual_arrays,
     pcl_value_gradient,
@@ -123,8 +122,9 @@ def _grid_trajectory_arrays_from_start(mdp, sol, idx_T, rng):
 
 
 def test_consistency_residual_formula():
-    out = consistency_residuals(np.array([2.0]), np.array([-1.0]), np.array([0.5]),
-                                np.array([-1.2]), alpha=2.0)
+    # values[0] = v_{t-1}, values[1] = v_t for one transition.
+    out = k_step_residuals(np.array([[0.5], [2.0]]), np.array([[-1.0]]), np.array([[-1.2]]),
+                           alpha=2.0, k=1)
     assert np.allclose(out, 2.0 / 2.0 - 1.0 - 0.5 / 2.0 + 1.2)
 
 
