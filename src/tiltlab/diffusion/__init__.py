@@ -8,17 +8,18 @@ from .policy import (
     eps_on_tape,
     gaussian_log_density,
     log_probs_under,
+    means_under,
     reverse_mean,
     reverse_mean_on_tape,
     sample_trajectory,
 )
-from .pretrain import denoising_loss, forward_perturb_batch, train_denoiser
+from .pretrain import denoising_loss, train_denoiser
 
 __all__ = [
     "DiffusionSchedule", "forward_perturb", "make_schedule",
     "GaussianMixture",
     "PolicyNet", "Trajectory", "add_residual_net", "analytic_eps", "eps_on_tape",
-    "gaussian_log_density", "log_probs_under", "reverse_mean", "reverse_mean_on_tape",
+    "gaussian_log_density", "log_probs_under", "means_under", "reverse_mean", "reverse_mean_on_tape",
     "sample_trajectory",
-    "denoising_loss", "forward_perturb_batch", "train_denoiser",
+    "denoising_loss", "train_denoiser",
 ]

@@ -26,14 +26,14 @@ LOG_2PI = gaussmix.LOG_2PI
 
 
 def gaussian_log_density(x, mean, var: float):
-    """Isotropic Gaussian log density; row-wise for (m, d) inputs."""
+    """Isotropic Gaussian log density over the last axis (row-wise for (m, d) inputs)."""
     if var <= 0.0:
         raise ContractError(f"variance must be positive, got {var}")
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     diff = np.atleast_2d(x - mean)
-    d = diff.shape[1]
-    vals = -0.5 * d * (LOG_2PI + np.log(var)) - 0.5 * (diff * diff).sum(axis=1) / var
+    d = diff.shape[-1]
+    vals = -0.5 * d * (LOG_2PI + np.log(var)) - 0.5 * (diff * diff).sum(axis=-1) / var
     return float(vals[0]) if (x.ndim <= 1 and mean.ndim <= 1) else vals
 
 
@@ -93,8 +93,7 @@ class PolicyNet:
         if self.base is not None:
             out = out + analytic_eps(self.base, self.schedule, x, t)
         if self.net is not None:
-            feats = np.broadcast_to(self.schedule.time_features(t), (x.shape[0], 2))
-            out = out + evaluate(self.net, np.hstack([x, feats]))
+            out = out + evaluate(self.net, self.schedule.net_input(x, t))
         return out
 
 
@@ -130,15 +129,15 @@ def reverse_mean(policy: PolicyNet, x, t: int) -> np.ndarray:
 class Trajectory:
     """A batch of realized reverse chains with full bookkeeping.
 
-    states[t] is x_t for t = 0..T; noises[t-1] and log_probs[t-1] belong
-    to the transition x_t -> x_{t-1}, so states[t-1] equals
-    reverse_mean(x_t, t) + rev_std * noises[t-1] exactly.
+    states[t] is x_t for t = 0..T; means[t-1] and log_probs[t-1] belong
+    to the transition x_t -> x_{t-1}: means[t-1] is the mean the row was
+    drawn from (after any shift, under whichever policy generated the row)
+    and log_probs[t-1] the Gaussian log density of states[t-1] around it.
     """
 
     states: np.ndarray     # (T+1, m, d)
-    noises: np.ndarray     # (T, m, d)
+    means: np.ndarray      # (T, m, d)
     log_probs: np.ndarray  # (T, m)
-    reward: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -185,7 +184,7 @@ def sample_trajectory(
     if pre_policy is None and np.any(switch > 0):
         raise ContractError("a switch above 0 needs a pre_policy")
     states = np.empty((T + 1, n, d))
-    noises = np.zeros((T, n, d))
+    means = np.empty((T, n, d))
     log_probs = np.empty((T, n))
     x = rng.standard_normal((n, d))
     states[T] = x
@@ -202,29 +201,38 @@ def sample_trajectory(
         if shift_source is not None:
             mu = mu + shift_source.shift(x, t)
         if t == 1 and not final_step_noise:
-            x = mu.copy()
+            x = mu
         else:
-            z = rng.standard_normal((n, d))
-            noises[t - 1] = z
-            x = mu + s.rev_std * z
+            x = mu + s.rev_std * rng.standard_normal((n, d))
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite state at reverse step {t}")
         log_probs[t - 1] = gaussian_log_density(x, mu, s.rev_var)
+        means[t - 1] = mu
         states[t - 1] = x
-    return Trajectory(states, noises, log_probs)
+    return Trajectory(states, means, log_probs)
+
+
+def means_under(policy: PolicyNet, traj: Trajectory) -> np.ndarray:
+    """Reverse means of ``policy`` at the stored states, (T, m, d): the one
+    pass that re-runs a policy on a stored trajectory."""
+    out = np.empty((traj.n_steps, traj.batch, traj.dim))
+    for t in range(1, traj.n_steps + 1):
+        out[t - 1] = reverse_mean(policy, traj.states[t], t)
+    return out
 
 
 def log_probs_under(policy: PolicyNet, traj: Trajectory) -> np.ndarray:
     """Log densities of the stored transitions under another policy, (T, m)."""
-    s = policy.schedule
-    out = np.empty_like(traj.log_probs)
-    for t in range(traj.n_steps, 0, -1):
-        mu = reverse_mean(policy, traj.states[t], t)
-        out[t - 1] = gaussian_log_density(traj.states[t - 1], mu, s.rev_var)
-    return out
+    return gaussian_log_density(traj.states[:-1], means_under(policy, traj), policy.schedule.rev_var)
 
 
 # -- tape builders --------------------------------------------------------
+
+
+def net_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node], x: Node, t: int) -> Node:
+    """Record policy.net on the rows [x, t/T, sigma_pert[t]] with x live."""
+    feats = tape.constant(np.broadcast_to(policy.schedule.time_features(t), (x.value.shape[0], 2)))
+    return forward_on_tape(tape, policy.net, param_nodes, tape.concat_cols(x, feats))
 
 
 def eps_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
@@ -237,9 +245,7 @@ def eps_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
         parts.append(tape.mixture_eps(x, marg.log_weights, marg.means,
                                       marg.variances, float(s.sigma_pert[t])))
     if policy.net is not None:
-        m = x.value.shape[0]
-        feats = tape.constant(np.broadcast_to(s.time_features(t), (m, 2)))
-        parts.append(forward_on_tape(tape, policy.net, param_nodes, tape.concat_cols(x, feats)))
+        parts.append(net_on_tape(tape, policy, param_nodes, x, t))
     out = parts[0]
     for p in parts[1:]:
         out = tape.add(out, p)

@@ -10,10 +10,6 @@ from .base import GaussianMixture
 from .schedule import DiffusionSchedule, forward_perturb
 
 
-def _net_input(schedule: DiffusionSchedule, x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.hstack([x_t, schedule.time_features(t)])
-
-
 def denoising_loss(model, schedule: DiffusionSchedule, x0, t, noise) -> float:
     """Mean squared noise-prediction error over a batch of (x0, t, noise).
 
@@ -25,11 +21,9 @@ def denoising_loss(model, schedule: DiffusionSchedule, x0, t, noise) -> float:
     t = np.asarray(t, dtype=np.int64).ravel()
     if x0.shape[0] == 0:
         raise ContractError("denoising loss needs a nonempty batch")
-    if np.any(t < 0) or np.any(t > schedule.n_steps):
-        raise IndexError("step index outside schedule")
-    x_t = schedule.mu_pert[t, None] * x0 + schedule.sigma_pert[t, None] * noise
+    x_t = forward_perturb(schedule, x0, t, noise)
     if isinstance(model, MlpModel):
-        pred = evaluate(model, _net_input(schedule, x_t, t))
+        pred = evaluate(model, schedule.net_input(x_t, t))
     else:
         pred = np.asarray(model(x_t, t), dtype=np.float64)
     return float(((noise - pred) ** 2).sum(axis=1).mean())
@@ -55,25 +49,14 @@ def train_denoiser(
         x0 = base.sample(rng, batch)
         t = rng.integers(1, schedule.n_steps + 1, size=batch)
         noise = rng.standard_normal((batch, d))
-        x_t = forward_perturb_batch(schedule, x0, t, noise)
+        x_t = forward_perturb(schedule, x0, t, noise)
 
         tape = Tape()
         nodes = bind_params(tape, params)
-        inp = tape.constant(_net_input(schedule, x_t, t))
+        inp = tape.constant(schedule.net_input(x_t, t))
         pred = forward_on_tape(tape, model, nodes, inp)
         resid = tape.sub(tape.constant(noise), pred)
         loss = tape.scale(tape.sumall(tape.square(resid)), 1.0 / batch)
         params, state, _ = descend(loss, nodes, params, state, lr)
         losses.append(float(loss.value))
     return MlpModel(model.widths, model.activation, params), losses
-
-
-def forward_perturb_batch(schedule: DiffusionSchedule, x0, t, noise) -> np.ndarray:
-    """Vectorized forward_perturb with one step index per row."""
-    t = np.asarray(t, dtype=np.int64).ravel()
-    if np.any(t < 0) or np.any(t > schedule.n_steps):
-        raise IndexError("step index outside schedule")
-    return schedule.mu_pert[t, None] * np.atleast_2d(x0) + schedule.sigma_pert[t, None] * np.atleast_2d(noise)
-
-
-__all__ = ["denoising_loss", "train_denoiser", "forward_perturb_batch", "forward_perturb"]

@@ -46,6 +46,11 @@ class DiffusionSchedule:
         t = np.asarray(t, dtype=np.int64)
         return np.stack([t / self.n_steps, self.sigma_pert[t]], axis=-1)
 
+    def net_input(self, x, t) -> np.ndarray:
+        """Network input rows [x, t/T, sigma_pert[t]]; ``t`` is one step or one per row."""
+        x = np.atleast_2d(x)
+        return np.hstack([x, np.broadcast_to(self.time_features(t), (x.shape[0], 2))])
+
 
 def make_schedule(
     n_steps: int,
@@ -81,10 +86,12 @@ def _validate_tables(s: DiffusionSchedule) -> None:
         raise ConfigError("mu_pert^2 + sigma_pert^2 exceeds 1")
 
 
-def forward_perturb(schedule: DiffusionSchedule, x0, t: int, noise) -> np.ndarray:
-    """x_t = mu_pert[t] * x0 + sigma_pert[t] * noise."""
-    if not 0 <= t <= schedule.n_steps:
+def forward_perturb(schedule: DiffusionSchedule, x0, t, noise) -> np.ndarray:
+    """x_t = mu_pert[t] * x0 + sigma_pert[t] * noise; ``t`` is one step or one per row."""
+    t = np.asarray(t, dtype=np.int64)
+    if np.any((t < 0) | (t > schedule.n_steps)):
         raise IndexError(f"step {t} outside [0, {schedule.n_steps}]")
+    t = t.reshape(-1, 1) if t.ndim else t
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     return schedule.mu_pert[t] * x0 + schedule.sigma_pert[t] * noise

@@ -10,13 +10,11 @@ from .ppo import ppo_iteration, ppo_signals, ppo_surrogate_value
 from .backprop import reward_backprop_iteration
 from .weighted_mle import collect_mle_tuples, reward_weighted_mle_iteration
 from .pcl import (
-    eval_value,
     k_step_residuals,
     pcl_iteration,
     pcl_residual_arrays,
     pcl_value_gradient,
     trajectory_balance_residual,
-    value_input,
 )
 from .driver import FineTuneResult, run_finetune
 
@@ -27,7 +25,7 @@ __all__ = [
     "ppo_iteration", "ppo_signals", "ppo_surrogate_value",
     "reward_backprop_iteration",
     "collect_mle_tuples", "reward_weighted_mle_iteration",
-    "eval_value", "k_step_residuals", "pcl_iteration",
-    "pcl_residual_arrays", "pcl_value_gradient", "trajectory_balance_residual", "value_input",
+    "k_step_residuals", "pcl_iteration",
+    "pcl_residual_arrays", "pcl_value_gradient", "trajectory_balance_residual",
     "FineTuneResult", "run_finetune",
 ]

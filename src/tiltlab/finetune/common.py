@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Node, Tape, bind_params, forward_on_tape
+from ..autodiff import Node, Tape, bind_params
 from ..diffusion.policy import (
     PolicyNet,
     Trajectory,
-    reverse_mean,
+    means_under,
+    net_on_tape,
     reverse_mean_on_tape,
     sample_trajectory,
 )
@@ -28,17 +29,15 @@ def kl_penalty(policy: PolicyNet, pre_policy: PolicyNet, traj: Trajectory) -> np
         or policy.schedule.rev_var != pre_policy.schedule.rev_var
     ):
         raise ContractError("policies live on different schedules")
-    return step_kl_terms(policy, pre_policy, traj).sum(axis=0)
+    kl = step_kl_terms(means_under(policy, traj), means_under(pre_policy, traj), policy.schedule.rev_var)
+    return kl.sum(axis=0)
 
 
-def step_kl_terms(policy: PolicyNet, pre_policy: PolicyNet, traj: Trajectory) -> np.ndarray:
-    """(T, m) array of the per-step KL summands (used by the PPO signal)."""
-    s = policy.schedule
-    out = np.empty((traj.n_steps, traj.batch))
-    for t in range(1, traj.n_steps + 1):
-        diff = reverse_mean(policy, traj.states[t], t) - reverse_mean(pre_policy, traj.states[t], t)
-        out[t - 1] = (diff * diff).sum(axis=1) / (2.0 * s.rev_var)
-    return out
+def step_kl_terms(means: np.ndarray, pre_means: np.ndarray, rev_var: float) -> np.ndarray:
+    """(T, m) per-step KL summands ||rho_theta - rho_pre||^2 / (2 sigma^2)
+    from the two policies' (T, m, d) means at the same stored states."""
+    diff = means - pre_means
+    return (diff * diff).sum(axis=-1) / (2.0 * rev_var)
 
 
 def stabilized_weights(r: np.ndarray, alpha: float) -> np.ndarray:
@@ -89,8 +88,7 @@ def paired_means_on_tape(
     def with_net(nodes, pol):
         if pol.net is None:
             return tape.add(drift, tape.scale(eps_base, coef))
-        feats = tape.constant(np.broadcast_to(s.time_features(t), (x.value.shape[0], 2)))
-        net_out = forward_on_tape(tape, pol.net, nodes, tape.concat_cols(x, feats))
+        net_out = net_on_tape(tape, pol, nodes, x, t)
         return tape.add(drift, tape.scale(tape.add(eps_base, net_out), coef))
 
     return with_net(param_nodes, policy), with_net(pre_nodes, pre_policy)

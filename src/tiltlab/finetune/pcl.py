@@ -26,22 +26,15 @@ import numpy as np
 from ..autodiff import (
     AdamState, MlpModel, Tape, adam_step, bind_params, descend, evaluate, forward_on_tape, gradient,
 )
-from ..diffusion.policy import PolicyNet, Trajectory, log_probs_under, reverse_mean_on_tape
+from ..diffusion.policy import (
+    PolicyNet, Trajectory, gaussian_log_density, means_under, reverse_mean_on_tape,
+)
 from ..errors import ContractError, NumericError
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, rollin_trajectory, step_kl_terms
 from .config import FineTuneConfig, TrainLogRecord
 
 LOGP_GUARD = -1e8
-
-
-def value_input(schedule, x: np.ndarray, t: int) -> np.ndarray:
-    feats = np.broadcast_to(schedule.time_features(t), (x.shape[0], 2))
-    return np.hstack([x, feats])
-
-
-def eval_value(model: MlpModel, schedule, x: np.ndarray, t: int) -> np.ndarray:
-    return evaluate(model, value_input(schedule, x, t))[:, 0]
 
 
 def k_step_residuals(values: np.ndarray, lp_cur: np.ndarray, lp_pre: np.ndarray,
@@ -82,16 +75,19 @@ def trajectory_balance_residual(lp_cur: np.ndarray, lp_pre: np.ndarray, reward: 
 
 def pcl_residual_arrays(policy, pre_policy, value: MlpModel, traj: Trajectory,
                         reward_spec: RewardSpec, alpha: float):
-    """(values (T+1, m) with v_0 = r, lp_cur, lp_pre) for a sampled batch."""
+    """(values (T+1, m) with v_0 = r, lp_cur, lp_pre, per-step KL (T, m))
+    for a sampled batch, from one means pass per policy."""
     s = policy.schedule
     r = eval_reward(reward_spec, traj.terminal)
     values = np.empty((traj.n_steps + 1, traj.batch))
     values[0] = r
     for t in range(1, traj.n_steps + 1):
-        values[t] = eval_value(value, s, traj.states[t], t)
-    lp_cur = log_probs_under(policy, traj)
-    lp_pre = log_probs_under(pre_policy, traj)
-    return values, lp_cur, lp_pre
+        values[t] = evaluate(value, s.net_input(traj.states[t], t))[:, 0]
+    means = means_under(policy, traj)
+    pre_means = means_under(pre_policy, traj)
+    lp_cur = gaussian_log_density(traj.states[:-1], means, s.rev_var)
+    lp_pre = gaussian_log_density(traj.states[:-1], pre_means, s.rev_var)
+    return values, lp_cur, lp_pre, step_kl_terms(means, pre_means, s.rev_var)
 
 
 def pcl_value_gradient(value: MlpModel, schedule, traj: Trajectory, reward: np.ndarray,
@@ -109,7 +105,7 @@ def pcl_value_gradient(value: MlpModel, schedule, traj: Trajectory, reward: np.n
     total = None
     for t in range(1, traj.n_steps + 1):
         v_t = tape.sum_cols(forward_on_tape(tape, value, vnodes,
-                                            tape.constant(value_input(schedule, traj.states[t], t))))
+                                            tape.constant(schedule.net_input(traj.states[t], t))))
         res = tape.add(tape.scale(tape.sub(v_t, below), 1.0 / alpha),
                        tape.constant(lp_cur[t - 1] - lp_pre[t - 1]))
         term = tape.sumall(tape.square(res))
@@ -137,7 +133,7 @@ def pcl_iteration(
     s = policy.schedule
     alpha = cfg.alpha
     traj = rollin_trajectory(policy, pre_policy, cfg.rollin, cfg.batch, rng, cfg.final_step_noise)
-    values, lp_cur, lp_pre = pcl_residual_arrays(policy, pre_policy, value, traj, reward_spec, alpha)
+    values, lp_cur, lp_pre, kl = pcl_residual_arrays(policy, pre_policy, value, traj, reward_spec, alpha)
     if lp_cur.min() < LOGP_GUARD or lp_pre.min() < LOGP_GUARD:
         raise NumericError("transition log density below the -1e8 guard")
     msr = float((k_step_residuals(values, lp_cur, lp_pre, alpha, 1) ** 2).mean())
@@ -163,7 +159,7 @@ def pcl_iteration(
     record = TrainLogRecord(
         iteration=iteration,
         mean_reward=float(eval_reward(reward_spec, traj.terminal).mean()),
-        kl_estimate=float(step_kl_terms(policy, pre_policy, traj).sum(axis=0).mean()),
+        kl_estimate=float(kl.sum(axis=0).mean()),
         loss=msr,
         grad_norm=float(np.sqrt(norm_p**2 + sum((g * g).sum() for g in grads_v.values()))),
         wall_time=time.perf_counter() - t0,

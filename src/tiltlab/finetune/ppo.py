@@ -22,17 +22,21 @@ import time
 import numpy as np
 
 from ..autodiff import AdamState, Tape, descend
-from ..diffusion.policy import PolicyNet, Trajectory, reverse_mean_on_tape, sample_trajectory
+from ..diffusion.policy import PolicyNet, Trajectory, means_under, reverse_mean_on_tape, sample_trajectory
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, step_kl_terms
 from .config import FineTuneConfig, TrainLogRecord
 
 
-def ppo_signals(policy_snapshot: PolicyNet, pre_policy: PolicyNet, traj: Trajectory,
-                reward_spec: RewardSpec, alpha: float) -> np.ndarray:
-    """(T, m) surrogate signal; constant with respect to the live parameters."""
+def ppo_signals(traj: Trajectory, pre_policy: PolicyNet, reward_spec: RewardSpec,
+                alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, m) surrogate signal, constant in the live parameters, and its (T, m) KL terms.
+
+    The snapshot's means are read from ``traj``, so it must be the snapshot's
+    own unshifted, unswitched sample."""
     r = eval_reward(reward_spec, traj.terminal)
-    return -r[None, :] + alpha * step_kl_terms(policy_snapshot, pre_policy, traj)
+    kl = step_kl_terms(traj.means, means_under(pre_policy, traj), pre_policy.schedule.rev_var)
+    return -r[None, :] + alpha * kl, kl
 
 
 def ppo_surrogate(tape: Tape, policy: PolicyNet, param_nodes, traj: Trajectory,
@@ -77,7 +81,7 @@ def ppo_iteration(
     t0 = time.perf_counter()
     snapshot = policy.snapshot()
     traj = sample_trajectory(snapshot, rng, cfg.batch, final_step_noise=cfg.final_step_noise)
-    signals = ppo_signals(snapshot, pre_policy, traj, reward_spec, cfg.alpha)
+    signals, kl = ppo_signals(traj, pre_policy, reward_spec, cfg.alpha)
 
     params = policy.params
     loss_val = 0.0
@@ -93,7 +97,7 @@ def ppo_iteration(
     record = TrainLogRecord(
         iteration=iteration,
         mean_reward=float(eval_reward(reward_spec, traj.terminal).mean()),
-        kl_estimate=float(step_kl_terms(snapshot, pre_policy, traj).sum(axis=0).mean()),
+        kl_estimate=float(kl.sum(axis=0).mean()),
         loss=loss_val,
         grad_norm=grad_norm,
         wall_time=time.perf_counter() - t0,

@@ -116,7 +116,7 @@ def _posterior_mean_jacobian(policy: PolicyNet, x: np.ndarray, t: int) -> np.nda
 
 def _net_jacobian(policy: PolicyNet, x: np.ndarray, t: int) -> np.ndarray:
     m, d = x.shape
-    inp = np.hstack([x, np.broadcast_to(policy.schedule.time_features(t), (m, 2))])
+    inp = policy.schedule.net_input(x, t)
     out = np.empty((m, d, d))
     for j in range(d):
         out[:, j, :] = input_gradient(policy.net, inp, np.broadcast_to(np.eye(d)[j], (m, d)))[:, :d]

@@ -21,13 +21,13 @@ from ..autodiff import (
     adam_init,
     bind_params,
     descend,
+    evaluate,
     forward_on_tape,
     init_mlp,
     input_gradient,
 )
 from ..diffusion.policy import PolicyNet, reverse_mean, sample_trajectory
 from ..errors import ConfigError, ContractError
-from ..finetune.pcl import eval_value, value_input
 from ..rewards import RewardSpec, eval_reward
 
 
@@ -42,12 +42,12 @@ class ValueModel:
     report: dict
 
     def value(self, x: np.ndarray, t: int) -> np.ndarray:
-        return eval_value(self.model, self.schedule, np.atleast_2d(x), t)
+        return evaluate(self.model, self.schedule.net_input(x, t))[:, 0]
 
     def grad_x(self, x: np.ndarray, t: int) -> np.ndarray:
         """d v / d x by differentiating the approximator, shape (m, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return input_gradient(self.model, value_input(self.schedule, x, t))[:, :x.shape[1]]
+        return input_gradient(self.model, self.schedule.net_input(x, t))[:, :x.shape[1]]
 
 
 def log_mean_exp_backup(v_prev: np.ndarray, alpha: float) -> np.ndarray:
@@ -96,7 +96,7 @@ def fit_value_mc(
     rows = []
     targets = []
     for t in range(s.n_steps + 1):
-        rows.append(value_input(s, traj.states[t], t))
+        rows.append(s.net_input(traj.states[t], t))
         targets.append(target)
     x_all = np.vstack(rows)
     y_all = np.concatenate(targets)
@@ -167,8 +167,8 @@ def fit_value_softq(
             if t == 1:
                 v_prev = eval_reward(reward_spec, flat)
             else:
-                v_prev = eval_value(frozen, s, flat, t - 1)
-            inputs.append(value_input(s, x_t, t))
+                v_prev = evaluate(frozen, s.net_input(flat, t - 1))[:, 0]
+            inputs.append(s.net_input(x_t, t))
             targets.append(log_mean_exp_backup(v_prev.reshape(n_states, inner_draws), alpha))
         x_all = np.vstack(inputs)
         y_all = np.concatenate(targets)

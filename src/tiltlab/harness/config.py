@@ -16,7 +16,7 @@ import yaml
 
 from ..autodiff import load_model
 from ..diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule
-from ..errors import CapabilityError, ConfigError
+from ..errors import CapabilityError, ConfigError, ContractError, NumericError, ShapeError
 from ..finetune import FineTuneConfig
 from ..rewards import (
     BlackBoxReward,
@@ -24,6 +24,7 @@ from ..rewards import (
     LearnedReward,
     LinearReward,
     QuadraticReward,
+    eval_reward,
 )
 
 RUN_KINDS = ("pretrain", "finetune", "guide", "oracle", "conditional", "eval", "sweep")
@@ -45,7 +46,13 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise ConfigError (or CapabilityError) naming the first violation."""
+    """Raise ConfigError (or CapabilityError) naming the first violation.
+
+    Besides the per-section checks, this builds the base, schedule, policy
+    and reward the run will build, evaluates the reward on one zero row of
+    the base's dimension, and checks the constraints that span sections,
+    so a malformed tree fails before its run directory exists.
+    """
     kind = cfg.get("kind")
     if kind not in RUN_KINDS:
         raise ConfigError(f"kind: expected one of {RUN_KINDS}, got {kind!r}")
@@ -63,51 +70,96 @@ def validate_config(cfg: dict) -> None:
                 raise type(exc)(f"runs[{i}].{exc}") from None
         return
 
-    if kind in ("pretrain", "finetune", "guide", "conditional"):
-        _validate_base(cfg)
-        _validate_schedule(cfg)
-    if kind in ("finetune", "guide", "oracle"):
-        _validate_reward(cfg)
-    if kind == "finetune":
-        ft = build_finetune_config(cfg)
-        reward = build_reward(cfg)
-        ft.check_reward(reward)
-    if kind == "guide":
-        g = cfg.get("guide", {})
-        if g.get("estimator") not in ESTIMATORS:
-            raise ConfigError(f"guide.estimator: expected one of {ESTIMATORS}")
-        if float(g.get("alpha", 1.0)) <= 0.0:
-            raise ConfigError("guide.alpha: must be positive")
-        if g.get("estimator") == "tweedie" and not build_reward(cfg).differentiable:
-            raise CapabilityError("guide.estimator: tweedie requires a differentiable reward")
+    o = cfg.get("oracle", {})
     if kind == "oracle":
-        o = cfg.get("oracle", {})
         if o.get("check") not in ORACLE_CHECKS:
             raise ConfigError(f"oracle.check: expected one of {ORACLE_CHECKS}")
-        if float(o.get("alpha", 1.0)) <= 0.0:
+        if _num("oracle.alpha", o.get("alpha", 1.0)) <= 0.0:
             raise ConfigError("oracle.alpha: must be positive")
-        if o.get("check") == "grid":
-            _validate_base(cfg)
-            _validate_schedule(cfg)
-            grid = o.get("grid", {})
-            if int(grid.get("n", 0)) < 11:
-                raise ConfigError("oracle.grid.n: need at least 11 nodes")
-            if not float(grid.get("hi", 0)) > float(grid.get("lo", 0)):
-                raise ConfigError("oracle.grid: hi must exceed lo")
+    grid_oracle = kind == "oracle" and o.get("check") == "grid"
+    if kind in ("pretrain", "finetune", "guide", "conditional") or grid_oracle:
+        base = _named("base", _validate_base, cfg)
+        schedule = _named("schedule", _validate_schedule, cfg)
+    if kind in ("finetune", "guide", "conditional") or grid_oracle:
+        policy = _named("policy", build_policy, cfg)
+        if policy.dim != base.dim:
+            raise ConfigError("policy.checkpoint: network width does not match the base dimension")
+    if kind in ("finetune", "guide") or grid_oracle:
+        reward = _named("reward", _validate_reward, cfg, base.dim)
+
+    if kind == "finetune":
+        ft = _named("finetune", build_finetune_config, cfg)
+        ft.check_reward(reward)
+        if ft.rollin.startswith("mixture") and not 0 <= int(ft.rollin.split(":")[1]) <= schedule.n_steps:
+            raise ConfigError(f"finetune.rollin: switch index outside [0, {schedule.n_steps}]")
+    if kind == "guide":
+        g = cfg.get("guide", {})
+        estimator = g.get("estimator")
+        if estimator not in ESTIMATORS:
+            raise ConfigError(f"guide.estimator: expected one of {ESTIMATORS}")
+        if _num("guide.alpha", g.get("alpha", 1.0)) <= 0.0:
+            raise ConfigError("guide.alpha: must be positive")
+        if estimator == "tweedie" and not reward.differentiable:
+            raise CapabilityError("guide.estimator: tweedie requires a differentiable reward")
+        if estimator == "affine" and not (isinstance(reward, LinearReward)
+                                          and base.n_components == 1 and base.dim == 1):
+            raise ConfigError("guide.estimator: affine needs a linear reward on a 1-D one-component base")
+        if estimator == "path-integral" and _num("guide.rollouts", g.get("rollouts", 256), int) < 100:
+            raise ConfigError("guide.rollouts: path-integral needs at least 100 continuation rollouts")
+        if estimator == "posterior" and not 0 <= _num("guide.label", g.get("label", 0), int) < base.n_components:
+            raise ConfigError("guide.label: outside the mixture's components")
+        if estimator == "mc" and _num("guide.budget", g.get("budget", 2000), int) < 100:
+            raise ConfigError("guide.budget: need at least 100 trajectories")
+        if estimator == "softq" and _num("guide.inner_draws", g.get("inner_draws", 64), int) < 2:
+            raise ConfigError("guide.inner_draws: need at least 2 inner draws")
+    if grid_oracle:
+        grid = o.get("grid", {})
+        if _num("oracle.grid.n", grid.get("n", 0), int) < 11:
+            raise ConfigError("oracle.grid.n: need at least 11 nodes")
+        if not _num("oracle.grid.hi", grid.get("hi", 0)) > _num("oracle.grid.lo", grid.get("lo", 0)):
+            raise ConfigError("oracle.grid: hi must exceed lo")
     if kind == "conditional":
         c = cfg.get("conditional", {})
-        base = build_base(cfg)
-        if not 0 <= int(c.get("label", -1)) < base.n_components:
+        if not 0 <= _num("conditional.label", c.get("label", -1), int) < base.n_components:
             raise ConfigError("conditional.label: outside the mixture's components")
+        if c.get("method", "value-weighted") != "value-weighted":
+            _named("finetune", build_finetune_config, cfg)
     if kind == "eval":
         e = cfg.get("eval", {})
         if "samples_a" not in e:
             raise ConfigError("eval.samples_a: a sample CSV path is required")
         if "samples_b" not in e and "reference" not in e:
             raise ConfigError("eval: need samples_b or an analytic reference")
+        for key in ("samples_a", "samples_b"):
+            if key in e and not Path(str(e[key])).is_file():
+                raise ConfigError(f"eval.{key}: no sample file at {e[key]!r}")
+        if "reward" in cfg:
+            _named("reward", build_reward, cfg)
 
 
-def _validate_base(cfg: dict) -> None:
+# What the build_* functions raise on a malformed tree; _named reports it as the section's.
+_MALFORMED = (ConfigError, ContractError, ShapeError, NumericError, IndexError,
+              KeyError, TypeError, ValueError, OSError)
+
+
+def _named(section: str, fn, *args):
+    """Call ``fn``; re-raise a failure on a malformed tree as a ConfigError naming ``section``."""
+    try:
+        return fn(*args)
+    except _MALFORMED as exc:
+        if isinstance(exc, ConfigError) and str(exc).startswith(section):
+            raise
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def _num(key: str, value, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _validate_base(cfg: dict) -> GaussianMixture:
     base = cfg.get("base")
     if not isinstance(base, dict):
         raise ConfigError("base: section is required")
@@ -122,25 +174,28 @@ def _validate_base(cfg: dict) -> None:
             raise ConfigError("base.weights: must be present and sum to 1")
         if any(s <= 0 for s in base.get("stds", [])):
             raise ConfigError("base.stds: must be positive")
+        if "means" not in base:
+            raise ConfigError("base.means: a mixture needs one mean per component")
+    return build_base(cfg)
 
 
-def _validate_schedule(cfg: dict) -> None:
+def _validate_schedule(cfg: dict):
     sch = cfg.get("schedule")
     if not isinstance(sch, dict):
         raise ConfigError("schedule: section is required")
-    if int(sch.get("steps", 0)) < 1:
+    if _num("schedule.steps", sch.get("steps", 0), int) < 1:
         raise ConfigError("schedule.steps: must be >= 1")
-    if float(sch.get("horizon", 0.0)) <= 0.0:
+    if _num("schedule.horizon", sch.get("horizon", 0.0)) <= 0.0:
         raise ConfigError("schedule.horizon: must be positive")
     rv = sch.get("rev_var")
-    if rv is not None and float(rv) <= 0.0:
+    if rv is not None and _num("schedule.rev_var", rv) <= 0.0:
         raise ConfigError("schedule.rev_var: must be positive when given")
+    return build_schedule(cfg)
 
 
-def _validate_reward(cfg: dict) -> None:
+def _validate_reward(cfg: dict, dim: int):
+    """Check the reward section, build it, and evaluate it at one zero row."""
     r = cfg.get("reward")
-    if cfg.get("kind") == "oracle" and cfg.get("oracle", {}).get("check") in ("two-state", "tilt", "mala"):
-        return  # these checks carry their own parameters
     if not isinstance(r, dict):
         raise ConfigError("reward: section is required")
     kind = r.get("kind")
@@ -150,6 +205,9 @@ def _validate_reward(cfg: dict) -> None:
         raise ConfigError(f"reward.name: unknown black box (choose from {sorted(BLACK_BOXES)})")
     if kind == "learned" and not Path(r.get("checkpoint", "")).exists():
         raise ConfigError("reward.checkpoint: learned reward needs an existing checkpoint file")
+    reward = build_reward(cfg)
+    eval_reward(reward, np.zeros((1, dim)))
+    return reward
 
 
 # -- builders -------------------------------------------------------------

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from ..autodiff import load_model
-from ..finetune import eval_value
+from ..autodiff import evaluate, load_model
 from ..oracle import tilted_gaussian_target
 from . import config as cfgmod
 from .runner import read_samples_csv
@@ -114,7 +113,7 @@ def _emit_value_slices(run: Path, ckpt: Path, out: Path) -> Path:
         w = csv.writer(fh)
         w.writerow(["t", "x", "value"])
         for t in range(schedule.n_steps + 1):
-            vals = eval_value(model, schedule, xs, t)
+            vals = evaluate(model, schedule.net_input(xs, t))[:, 0]
             for x, v in zip(xs[:, 0], vals):
                 w.writerow([t, repr(float(x)), repr(float(v))])
     return path

@@ -9,8 +9,10 @@ from tiltlab.diffusion import (
     reverse_mean,
     sample_trajectory,
 )
+from tiltlab.autodiff import init_mlp
 from tiltlab.errors import ContractError, NumericError
-from tiltlab.finetune import kl_penalty, stabilized_weights
+from tiltlab.finetune import kl_penalty, pcl_residual_arrays, ppo_signals, stabilized_weights
+from tiltlab.rewards import LinearReward, eval_reward
 from tiltlab.streams import make_rng
 
 
@@ -63,6 +65,29 @@ def test_kl_penalty_matches_per_step_gaussian_kl(residual16, analytic16):
     assert np.allclose(kl_penalty(policy, analytic16, traj), want, rtol=0, atol=1e-14)
 
 
+def test_ppo_and_pcl_kl_terms_match_kl_penalty(residual16, analytic16):
+    # PPO reads the snapshot's means from the trajectory and PCL re-scores
+    # the stored states once per policy; both per-step KL arrays must sum
+    # to the penalty computed from scratch.
+    rng = make_rng(10)
+    policy = residual16.with_params(
+        {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
+    )
+    traj = sample_trajectory(policy, make_rng(11), n=12)
+    want = kl_penalty(policy, analytic16, traj)
+    assert want.min() > 0.0
+
+    reward = LinearReward([1.0])
+    signals, kl = ppo_signals(traj, analytic16, reward, alpha=0.5)
+    assert kl.shape == (traj.n_steps, traj.batch)
+    assert np.array_equal(kl.sum(axis=0), want)
+    assert np.array_equal(signals, -eval_reward(reward, traj.terminal)[None, :] + 0.5 * kl)
+
+    value = init_mlp([3, 4, 1], make_rng(12))
+    *_, kl = pcl_residual_arrays(policy, analytic16, value, traj, reward, alpha=0.5)
+    assert np.array_equal(kl.sum(axis=0), want)
+
+
 def test_kl_penalty_schedule_mismatch(analytic16, std_base):
     other = PolicyNet(make_schedule(16, 5.0), base=std_base)
     traj = sample_trajectory(analytic16, make_rng(6), n=2)
@@ -104,10 +129,14 @@ def test_composed_rollout_switch_semantics(analytic16, residual16):
     def check_rows(traj, switches):
         for row, switch in enumerate(switches):
             for t in {T, switch + 1, switch, 1} - {0, T + 1}:
-                gen = policy if t > switch else analytic16
+                gen, other = (policy, analytic16) if t > switch else (analytic16, policy)
                 mu = reverse_mean(gen, traj.states[t, row], t)
                 assert np.allclose(traj.log_probs[t - 1, row],
                                    gaussian_log_density(traj.states[t - 1, row], mu[0], s.rev_var))
+                # the stored mean is the generating policy's, not the other one's
+                assert np.allclose(traj.means[t - 1, row], mu[0], rtol=0, atol=1e-12)
+                assert not np.allclose(traj.means[t - 1, row],
+                                       reverse_mean(other, traj.states[t, row], t)[0], rtol=0, atol=1e-12)
 
     switch = 8
     traj = sample_trajectory(policy, make_rng(8), 64, pre_policy=analytic16, switch=switch)

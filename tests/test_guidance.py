@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -215,3 +220,15 @@ def test_fit_value_contracts(analytic16):
 
     with pytest.raises(ConfigError):
         fit_value_softq(analytic16, LinearReward([1.0]), 1.0, make_rng(13), inner_draws=1)
+
+
+def test_guidance_imports_without_finetune():
+    # Guidance sits below fine-tuning: importing it must not pull the
+    # fine-tuning package in (checked in a fresh interpreter).
+    import tiltlab
+
+    src = str(Path(tiltlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, tiltlab.guidance; print('tiltlab.finetune' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

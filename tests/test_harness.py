@@ -72,6 +72,55 @@ def test_first_violated_constraint_is_named(tmp_path, capsys):
     assert "schedule.steps" in capsys.readouterr().err
 
 
+def _malformed_configs(tmp_path):
+    """Each case: (section the error must name, config)."""
+    def finetune(**sections):
+        cfg = tiny_finetune_cfg()
+        cfg["schedule"]["steps"] = 4
+        return {**cfg, **sections}
+
+    def guide(estimator, **sections):
+        cfg = {"kind": "guide", "seed": 0, "base": {"kind": "normal"},
+               "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
+               "reward": {"kind": "linear", "a": [1.0]}, **sections}
+        cfg["guide"] = {"estimator": estimator, "samples": 10, **cfg.get("guide", {})}
+        return cfg
+
+    mixture = {"kind": "mixture", "weights": [0.5, 0.5], "stds": [1.0, 1.0]}
+    return {
+        "mixture-without-means": ("base", finetune(base=mixture)),
+        "ragged-means": ("base", finetune(base={**mixture, "means": [[1.0], [2.0, 3.0]]})),
+        "reward-wider-than-base": ("reward", finetune(reward={"kind": "linear", "a": [1.0, 2.0]})),
+        "steps-not-a-number": ("schedule.steps", finetune(schedule={"steps": "x", "horizon": 3.0})),
+        "rollin-switch-above-steps": ("finetune.rollin", finetune(
+            finetune={"algorithm": "pcl", "rollin": "mixture:9", "iterations": 1})),
+        "affine-quadratic-reward": ("guide", guide("affine", reward={"kind": "quadratic", "A": [[1.0]]})),
+        "affine-mixture-base": ("guide", guide("affine", base={**mixture, "means": [[-1.0], [1.0]]})),
+        "path-integral-few-rollouts": ("guide.rollouts", guide("path-integral", guide={"rollouts": 10})),
+        "posterior-label-outside-base": ("guide.label", guide("posterior", guide={"label": 3})),
+        "conditional-finetune-without-section": ("finetune", {
+            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
+            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
+            "conditional": {"label": 1, "samples": 10, "method": "ppo"}}),
+        "eval-missing-samples": ("eval.samples_a", {
+            "kind": "eval", "eval": {"samples_a": str(tmp_path / "missing.csv"), "reference": {}}}),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "mixture-without-means", "ragged-means", "reward-wider-than-base", "steps-not-a-number",
+    "rollin-switch-above-steps", "affine-quadratic-reward", "affine-mixture-base",
+    "path-integral-few-rollouts", "posterior-label-outside-base",
+    "conditional-finetune-without-section", "eval-missing-samples",
+])
+def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
+    section, cfg = _malformed_configs(tmp_path)[case]
+    out = tmp_path / "r"
+    assert run_experiment(cfg, out) == 2
+    assert section in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_failure_exit_code(tmp_path):
     cfg = tiny_finetune_cfg()
     cfg["reward"]["a"] = [1e8]  # trips the reward bound guard at runtime

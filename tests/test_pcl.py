@@ -48,8 +48,8 @@ def test_residual_zero_for_trivial_configuration(analytic16):
     # vanish, so the residual is identically zero.
     traj = sample_trajectory(analytic16, make_rng(2), n=8)
     value = zero_mlp([3, 4, 1])
-    values, lp_cur, lp_pre = pcl_residual_arrays(analytic16, analytic16, value, traj,
-                                                 LinearReward([0.0]), alpha=1.0)
+    values, lp_cur, lp_pre, _ = pcl_residual_arrays(analytic16, analytic16, value, traj,
+                                                    LinearReward([0.0]), alpha=1.0)
     res = k_step_residuals(values, lp_cur, lp_pre, 1.0, k=1)
     assert np.array_equal(res, np.zeros_like(res))
 
@@ -63,8 +63,8 @@ def test_one_step_residuals_telescope_to_full_trajectory(residual16, analytic16)
     from tiltlab.autodiff import init_mlp
 
     value = init_mlp([3, 8, 1], make_rng(5))
-    values, lp_cur, lp_pre = pcl_residual_arrays(policy, analytic16, value, traj,
-                                                 LinearReward([1.0]), alpha=0.7)
+    values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, analytic16, value, traj,
+                                                    LinearReward([1.0]), alpha=0.7)
     T = traj.n_steps
     summed = k_step_residuals(values, lp_cur, lp_pre, 0.7, k=1).sum(axis=0)
     whole = k_step_residuals(values, lp_cur, lp_pre, 0.7, k=T)[0]
@@ -144,10 +144,10 @@ def test_value_gradient_matches_finite_differences_of_batch_loss():
 
     def batch_loss(params):
         model = MlpModel(value.widths, value.activation, params)
-        values, lp_cur, lp_pre = pcl_residual_arrays(policy, pre, model, traj, reward, alpha)
+        values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, model, traj, reward, alpha)
         return (k_step_residuals(values, lp_cur, lp_pre, alpha, 1) ** 2).sum() / traj.batch
 
-    values, lp_cur, lp_pre = pcl_residual_arrays(policy, pre, value, traj, reward, alpha)
+    values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, value, traj, reward, alpha)
     grads = pcl_value_gradient(value, policy.schedule, traj, values[0], lp_cur, lp_pre, alpha)
     assert sorted(grads) == sorted(value.params)
     h = 1e-5

@@ -177,16 +177,15 @@ def test_same_seed_gives_bitwise_identical_trajectories(analytic16):
     a = sample_trajectory(analytic16, make_rng(7), n=16)
     b = sample_trajectory(analytic16, make_rng(7), n=16)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.noises, b.noises)
+    assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.log_probs, b.log_probs)
 
 
-def test_stored_noise_reconstructs_states(analytic16):
+def test_stored_means_are_the_reverse_means(analytic16):
     s = analytic16.schedule
     traj = sample_trajectory(analytic16, make_rng(8), n=5)
     for t in range(s.n_steps, 0, -1):
-        want = reverse_mean(analytic16, traj.states[t], t) + s.rev_std * traj.noises[t - 1]
-        assert np.array_equal(traj.states[t - 1], want)
+        assert np.array_equal(traj.means[t - 1], reverse_mean(analytic16, traj.states[t], t))
 
 
 def test_stored_log_probs_reproduce_exactly(analytic16):
@@ -231,5 +230,5 @@ def test_non_finite_shift_raises_with_step_index(analytic16):
 def test_final_step_noise_convention_toggle(analytic16):
     s = analytic16.schedule
     traj = sample_trajectory(analytic16, make_rng(15), n=4, final_step_noise=False)
-    assert np.array_equal(traj.noises[0], np.zeros_like(traj.noises[0]))
+    assert np.array_equal(traj.states[0], traj.means[0])
     assert np.array_equal(traj.states[0], reverse_mean(analytic16, traj.states[1], 1))

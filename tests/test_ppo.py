@@ -10,7 +10,7 @@ from tiltlab.streams import make_rng
 def test_surrogate_equals_unclipped_at_snapshot(residual16, analytic16):
     # At theta = theta_old every ratio is exactly one, inside the band.
     traj = sample_trajectory(residual16, make_rng(1), n=32)
-    signals = ppo_signals(residual16, analytic16, traj, LinearReward([1.0]), alpha=0.5)
+    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
     clipped = ppo_surrogate_value(residual16, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(residual16, traj, signals, clip=0.2, clipped=False)
     assert clipped == plain
@@ -24,7 +24,7 @@ def test_surrogate_equals_unclipped_inside_band(residual16, analytic16):
         {k: v + 1e-4 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
     )
     traj = sample_trajectory(residual16, make_rng(3), n=32)
-    signals = ppo_signals(residual16, analytic16, traj, LinearReward([1.0]), alpha=0.5)
+    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
 
     from tiltlab.diffusion import log_probs_under
 
@@ -41,7 +41,7 @@ def test_clip_engages_outside_band(residual16, analytic16):
         {k: v + 0.5 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
     )
     traj = sample_trajectory(residual16, make_rng(5), n=32)
-    signals = ppo_signals(residual16, analytic16, traj, LinearReward([1.0]), alpha=0.5)
+    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
     clipped = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=False)
     assert clipped != plain

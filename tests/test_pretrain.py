@@ -56,7 +56,6 @@ def test_trained_net_approximates_analytic_eps():
     # The regression optimum is the conditional expected noise; a trained
     # net should land near the closed form on the data bulk.
     from tiltlab.diffusion import analytic_eps
-    from tiltlab.diffusion.pretrain import _net_input
     from tiltlab.autodiff import evaluate
 
     s = make_schedule(16, 4.0)
@@ -65,7 +64,7 @@ def test_trained_net_approximates_analytic_eps():
     x = np.linspace(-1.5, 1.5, 9).reshape(-1, 1)
     worst = 0.0
     for t in (4, 8, 12):
-        pred = evaluate(model, _net_input(s, x, np.full(9, t)))
+        pred = evaluate(model, s.net_input(x, np.full(9, t)))
         want = analytic_eps(base, s, x, t)
         worst = max(worst, np.abs(pred - want).max())
     assert worst < 0.15

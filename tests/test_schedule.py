@@ -19,12 +19,17 @@ def test_zero_input_gives_pure_noise_term():
     for t in (1, 4, 8):
         assert np.array_equal(forward_perturb(s, np.zeros((4, 1)), t, noise),
                               s.sigma_pert[t] * noise)
+    rows = np.array([1, 4, 8, 4])  # one step per row
+    assert np.array_equal(forward_perturb(s, np.zeros((4, 1)), rows, noise),
+                          s.sigma_pert[rows, None] * noise)
 
 
 def test_out_of_range_step_raises():
     s = make_schedule(8, 2.0)
     with pytest.raises(IndexError):
         forward_perturb(s, np.zeros((1, 1)), 9, np.zeros((1, 1)))
+    with pytest.raises(IndexError):
+        forward_perturb(s, np.zeros((2, 1)), [3, 9], np.zeros((2, 1)))
 
 
 def test_terminal_marginal_is_standard_normal():
