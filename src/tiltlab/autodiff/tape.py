@@ -8,9 +8,17 @@ an explicit topologically-ordered compute graph that can be audited.
 
 Values are never mutated after a node is created; re-running a graph with
 identical inputs is bitwise reproducible.
+
+Ownership runs one way: a tape holds its nodes, and a node refers back to
+its tape only weakly. A tape and every array on it are therefore freed by
+reference counting as soon as the caller drops the tape, without waiting
+for the cyclic garbage collector. Keep the tape referenced until
+:func:`gradient` has returned.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -21,17 +29,25 @@ LOG_2PI = gaussmix.LOG_2PI
 
 
 class Node:
-    """One recorded primitive op (or leaf) in a :class:`Tape`."""
+    """One recorded primitive op (or leaf) in a :class:`Tape`.
 
-    __slots__ = ("tape", "idx", "op", "parents", "value", "ctx")
+    ``tape_ref`` is a weak reference to the owning tape, so a node does not
+    keep its tape alive; :attr:`tape` is ``None`` once the tape is freed.
+    """
 
-    def __init__(self, tape, idx, op, parents, value, ctx=None):
-        self.tape = tape
+    __slots__ = ("tape_ref", "idx", "op", "parents", "value", "ctx")
+
+    def __init__(self, tape_ref, idx, op, parents, value, ctx=None):
+        self.tape_ref = tape_ref
         self.idx = idx
         self.op = op
         self.parents = parents
         self.value = value
         self.ctx = ctx
+
+    @property
+    def tape(self):
+        return self.tape_ref()
 
     @property
     def shape(self):
@@ -51,6 +67,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._ref = weakref.ref(self)
 
     # -- construction ---------------------------------------------------
 
@@ -58,14 +75,16 @@ class Tape:
         value = _array(value)
         if not np.all(np.isfinite(value)):
             raise NumericError(f"op '{op}' produced non-finite values")
-        node = Node(self, len(self.nodes), op, tuple(p.idx for p in parents), value, ctx)
+        node = Node(self._ref, len(self.nodes), op, tuple(p.idx for p in parents), value, ctx)
         self.nodes.append(node)
         return node
 
     def _check(self, *nodes):
+        """Ownership test by position: a node is ours iff our list holds it at its index."""
+        own = self.nodes
         for n in nodes:
-            if n.tape is not self:
-                raise ContractError("node belongs to a different tape")
+            if n.idx >= len(own) or own[n.idx] is not n:
+                raise ContractError("node belongs to a different (or freed) tape")
 
     def constant(self, value) -> Node:
         return self._push("const", (), value)
@@ -220,9 +239,10 @@ def gradient(output: Node, wrt: list[Node]) -> list[np.ndarray]:
     if output.value.size != 1:
         raise ContractError(f"gradient requires a scalar output, got shape {output.value.shape}")
     tape = output.tape
-    for node in wrt:
-        if node.tape is not tape:
-            raise ContractError("wrt node is not on the output's tape")
+    if tape is None:
+        raise ContractError("gradient: the output's tape has already been freed; "
+                            "keep the Tape referenced until gradient returns")
+    tape._check(*wrt)
 
     nodes = tape.nodes
     grads: list = [None] * len(nodes)

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from ..autodiff import save_model
-from ..diffusion import sample_trajectory, train_denoiser
+from ..diffusion import GaussianMixture, sample_trajectory, train_denoiser
 from ..errors import (
     CapabilityError,
     ConfigError,
@@ -182,20 +182,30 @@ def _run_finetune(cfg: dict, out: Path) -> None:
 
 
 def _target_metrics(cfg: dict, samples: np.ndarray, alpha: float, final_noise: bool) -> dict:
-    """W1/moment gaps against the exact chain-tilted target when it exists."""
+    """Moment gaps against the exact chain-tilted target when it exists.
+
+    An isotropic single-Gaussian base with a linear reward factorizes the
+    chain by coordinate, so each coordinate's target comes from its own
+    1-D chain. Gaps are Euclidean norms over coordinates (the ``var_gap``
+    convention of :func:`eval_metrics`); the target itself is reported in 1-D.
+    """
     base = cfgmod.build_base(cfg)
     reward = cfgmod.build_reward(cfg)
-    if base.n_components != 1 or base.dim != 1 or not isinstance(reward, LinearReward) or alpha <= 0:
+    if base.n_components != 1 or not isinstance(reward, LinearReward) or alpha <= 0:
         return {}
     schedule = cfgmod.build_schedule(cfg)
-    cs = chain_stats(schedule, base, final_noise)
-    mean, var = cs.tilted_terminal(float(reward.a[0]), alpha)
-    return {
-        "target_mean": mean,
-        "target_var": var,
-        "mean_gap_to_target": abs(float(samples.mean()) - mean),
-        "var_gap_to_target": abs(float(samples.var()) - var),
+    mean, var = np.array([
+        chain_stats(schedule, GaussianMixture.single(m, base.scales[0]), final_noise)
+        .tilted_terminal(float(a), alpha)
+        for m, a in zip(base.means[0], reward.a)
+    ]).T
+    out = {
+        "mean_gap_to_target": float(np.linalg.norm(samples.mean(axis=0) - mean)),
+        "var_gap_to_target": float(np.linalg.norm(samples.var(axis=0) - var)),
     }
+    if base.dim == 1:
+        out.update(target_mean=float(mean[0]), target_var=float(var[0]))
+    return out
 
 
 def _run_guide(cfg: dict, out: Path) -> None:

@@ -192,25 +192,38 @@ def grid_soft_solve(mdp: GridMDP) -> SoftSolution:
     return SoftSolution(mdp, values, log_c, policy, init_star, marginals, pre_marginals, constants)
 
 
-def bellman_residual(sol: SoftSolution) -> float:
-    """max_t,i |exp(v_t/alpha) - sum_j P_t[i,j] exp(v_{t-1}/alpha)|, log-space evaluated."""
-    mdp, alpha = sol.mdp, sol.mdp.alpha
-    lv = sol.values / alpha
-    lv[0] = mdp.reward / alpha
-    worst = 0.0
+def _bellman_residuals(sol: SoftSolution) -> tuple[float, float]:
+    """Absolute Bellman residual and the same residual over max exp(v/alpha).
+
+    Both come from one logsumexp pass; the relative figure scales each
+    term by exp(v_t/alpha - max v/alpha) and so cannot overflow.
+    """
+    mdp = sol.mdp
+    lv = sol.values / mdp.alpha
+    lv_max = float(lv.max())
+    worst = worst_rel = 0.0
     with np.errstate(divide="ignore"):
         log_trans = np.log(mdp.trans)
     for t in range(1, mdp.n_steps + 1):
         rhs = logsumexp(log_trans[t - 1] + lv[t - 1][None, :], axis=1)
-        resid = np.abs(np.exp(lv[t]) * np.expm1(rhs - lv[t]))
-        worst = max(worst, float(resid.max()))
-    return worst
+        gap = np.abs(np.expm1(rhs - lv[t]))
+        worst = max(worst, float((np.exp(lv[t]) * gap).max()))
+        worst_rel = max(worst_rel, float((np.exp(lv[t] - lv_max) * gap).max()))
+    return worst, worst_rel
+
+
+def bellman_residual(sol: SoftSolution) -> float:
+    """max_t,i |exp(v_t/alpha) - sum_j P_t[i,j] exp(v_{t-1}/alpha)|, log-space evaluated."""
+    return _bellman_residuals(sol)[0]
 
 
 def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
     """Max-abs deviations for the three structural identities plus the
     Bellman residual and the spread of the Theorem-2 constant.
 
+    The last two are exp(v/alpha) quantities, so they are also reported
+    relative to the largest exp(v/alpha) on the grid (``*_rel``); at small
+    alpha only the relative figures stay near machine precision.
     Thresholds are the caller's business; this only reports numbers.
     """
     mdp, alpha = sol.mdp, sol.mdp.alpha
@@ -222,6 +235,9 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
         predicted = np.exp(sol.values[t] / alpha) * sol.pre_marginals[t] / c
         t2 = max(t2, float(np.abs(sol.marginals[t] - predicted).max()))
     c_spread = float(sol.constants.max() - sol.constants.min())
+    lv = sol.values / alpha
+    c_rel = np.exp(logsumexp(lv + _safe_log(sol.pre_marginals), axis=1) - lv.max())
+    c_spread_rel = float(c_rel.max() - c_rel.min())
 
     t3 = 0.0
     for t in range(1, mdp.n_steps + 1):
@@ -233,10 +249,13 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
         if mask.any():
             t3 = max(t3, float(np.abs(post_star - post_pre)[mask].max()))
 
+    bellman, bellman_rel = _bellman_residuals(sol)
     return {
         "theorem1_terminal_dev": t1,
         "theorem2_marginal_dev": t2,
         "theorem2_constant_spread": c_spread,
+        "theorem2_constant_spread_rel": c_spread_rel,
         "theorem3_posterior_dev": t3,
-        "bellman_residual": bellman_residual(sol),
+        "bellman_residual": bellman,
+        "bellman_residual_rel": bellman_rel,
     }

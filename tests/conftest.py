@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from tiltlab.autodiff import Tape
 from tiltlab.diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule
 from tiltlab.streams import make_rng
 
@@ -43,3 +47,27 @@ def residual16(analytic16):
 @pytest.fixture(scope="session")
 def two_modes():
     return GaussianMixture(np.array([0.5, 0.5]), np.array([[-3.0], [3.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.fixture
+def recorded_tapes(monkeypatch):
+    """Weak references to every Tape built during the test, with the cyclic GC off.
+
+    With the collector disabled, a recorded tape is dead only if reference
+    counting alone freed it.
+    """
+    refs = []
+    init = Tape.__init__
+
+    def recording_init(self):
+        init(self)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(Tape, "__init__", recording_init)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -11,7 +11,14 @@ from tiltlab.diffusion import (
 )
 from tiltlab.autodiff import init_mlp
 from tiltlab.errors import ContractError, NumericError
-from tiltlab.finetune import kl_penalty, pcl_residual_arrays, ppo_signals, stabilized_weights
+from tiltlab.finetune import (
+    FineTuneConfig,
+    kl_penalty,
+    pcl_residual_arrays,
+    ppo_signals,
+    run_finetune,
+    stabilized_weights,
+)
 from tiltlab.rewards import LinearReward, eval_reward
 from tiltlab.streams import make_rng
 
@@ -151,3 +158,14 @@ def test_composed_rollout_switch_semantics(analytic16, residual16):
         sample_trajectory(policy, make_rng(9), 4, pre_policy=analytic16, switch=T + 1)
     with pytest.raises(ContractError):
         sample_trajectory(policy, make_rng(9), 3, pre_policy=analytic16, switch=[0, 8, T + 1])
+
+
+@pytest.mark.parametrize("algorithm", ["backprop", "ppo", "weighted-mle", "pcl"])
+def test_one_iteration_leaves_no_tape_alive(residual16, recorded_tapes, algorithm):
+    # The cyclic GC is off: every tape must be freed by reference counting
+    # by the time the iteration returns.
+    cfg = FineTuneConfig(algorithm, alpha=1.0, batch=8, iterations=1, value_hidden=(8,), seed=1)
+    result = run_finetune(residual16, LinearReward([1.0]), cfg)
+    assert len(result.records) == 1
+    assert recorded_tapes
+    assert [ref for ref in recorded_tapes if ref() is not None] == []

@@ -342,3 +342,29 @@ def test_cli_seed_override_changes_samples(tmp_path):
 def test_cli_missing_out(tmp_path):
     cfg_path = write_cfg(tmp_path, tiny_finetune_cfg())
     assert main(["finetune", "--config", str(cfg_path)]) == 2
+
+
+def test_two_dim_finetune_reports_gap_to_factorized_target(tmp_path):
+    from tiltlab.diffusion import GaussianMixture, make_schedule
+    from tiltlab.oracle import chain_stats
+
+    cfg = tiny_finetune_cfg()
+    cfg["base"] = {"kind": "normal", "mean": [0.5, -1.0], "std": 1.3}
+    cfg["reward"] = {"kind": "linear", "a": [1.0, -0.5]}
+    out = tmp_path / "r2"
+    assert run_experiment(cfg, out) == 0
+    metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
+    assert "target_mean" not in metrics and "target_var" not in metrics
+
+    # Each coordinate is its own 1-D linear-Gaussian chain.
+    sched = make_schedule(8, 3.0)
+    mean, var = np.array([
+        chain_stats(sched, GaussianMixture.single(m, 1.3)).tilted_terminal(a, 1.0)
+        for m, a in [(0.5, 1.0), (-1.0, -0.5)]
+    ]).T
+    samples = read_samples_csv(out / "samples.csv")
+    assert samples.shape == (400, 2)
+    assert metrics["mean_gap_to_target"] == pytest.approx(
+        np.linalg.norm(samples.mean(axis=0) - mean), rel=1e-12)
+    assert metrics["var_gap_to_target"] == pytest.approx(
+        np.linalg.norm(samples.var(axis=0) - var), rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tiltlab.diffusion import PolicyNet, make_schedule
+from tiltlab.diffusion import GaussianMixture, PolicyNet, make_schedule
 from tiltlab.errors import ConfigError, ContractError, CoverageError
 from tiltlab.oracle import GridMDP, bellman_residual, grid_build, grid_soft_solve, verify_theorems
 from tiltlab.rewards import LinearReward, QuadraticReward
@@ -158,3 +158,20 @@ def test_refinement_converges_monotonically(analytic16):
 def test_bellman_residual_is_float_noise(analytic16):
     mdp = grid_build(analytic16, LinearReward([1.0]), 0.5, -7.0, 7.0, 41, n_steps=5)
     assert bellman_residual(grid_soft_solve(mdp)) < 1e-12
+
+
+def test_relative_figures_stay_exact_at_small_alpha():
+    # At alpha = 0.05 exp(v/alpha) reaches ~1e69 on this grid, so the
+    # absolute constant spread and Bellman residual are float noise at that
+    # scale; relative to the largest exp(v/alpha) they are machine precision.
+    base = GaussianMixture(np.array([0.5, 0.5]), np.array([[-2.0], [2.0]]), np.array([1.0, 1.0]))
+    policy = PolicyNet(make_schedule(8, 6.0), base=base)
+    alpha = 0.05
+    sol = grid_soft_solve(grid_build(policy, LinearReward([1.0]), alpha, -8.0, 8.0, 41))
+    rep = verify_theorems(sol)
+    assert rep["theorem2_constant_spread"] > 1e30
+    assert rep["bellman_residual"] > 1e30
+    assert rep["theorem2_constant_spread_rel"] <= 1e-10
+    assert rep["bellman_residual_rel"] <= 1e-10
+    scale = np.exp(sol.values / alpha).max()  # finite here, so the two routes compare
+    assert rep["bellman_residual_rel"] == pytest.approx(rep["bellman_residual"] / scale, rel=1e-9)

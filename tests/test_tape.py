@@ -107,6 +107,47 @@ def test_topology_is_ordered_and_acyclic():
     assert out.idx == len(tape.nodes) - 1
 
 
+def test_dropped_tape_is_freed_by_reference_counting(recorded_tapes):
+    def build():
+        tape = Tape()
+        a = tape.param(np.ones((3, 2)))
+        out = tape.sumall(tape.tanh(a))
+        gradient(out, [a])
+        return out
+
+    node = build()  # a surviving node does not keep its tape alive
+    assert len(recorded_tapes) == 1
+    assert recorded_tapes[0]() is None
+    assert node.tape is None
+
+
+def test_gradient_on_freed_tape_is_contract_error(recorded_tapes):
+    tape = Tape()
+    a = tape.param(np.ones((2, 2)))
+    out = tape.sumall(tape.square(a))
+    del tape
+    with pytest.raises(ContractError, match="freed"):
+        gradient(out, [a])
+
+
+def test_foreign_node_is_contract_error(recorded_tapes):
+    small, big = Tape(), Tape()
+    s = small.param(np.ones((1, 1)))
+    inside = big.param(np.ones((1, 1)))      # index 0: inside the small tape's range
+    for _ in range(3):
+        big.param(np.ones((1, 1)))
+    past_end = big.param(np.ones((1, 1)))    # index 4: past the small tape's end
+
+    def orphan():
+        return Tape().param(np.ones((1, 1)))
+
+    for foreign in (inside, past_end, orphan()):
+        with pytest.raises(ContractError):
+            small.add(s, foreign)
+        with pytest.raises(ContractError):
+            gradient(small.sumall(s), [foreign])
+
+
 @pytest.mark.parametrize("seed", range(120))
 def test_random_graphs_match_finite_differences(seed):
     assert finite_diff_check(seed) < 1e-5
