@@ -212,18 +212,17 @@ def sample_trajectory(
     return Trajectory(states, means, log_probs)
 
 
-def means_under(policy: PolicyNet, traj: Trajectory) -> np.ndarray:
-    """Reverse means of ``policy`` at the stored states, (T, m, d): the one
-    pass that re-runs a policy on a stored trajectory."""
-    out = np.empty((traj.n_steps, traj.batch, traj.dim))
-    for t in range(1, traj.n_steps + 1):
-        out[t - 1] = reverse_mean(policy, traj.states[t], t)
-    return out
+def means_under(policy: PolicyNet, states: np.ndarray) -> np.ndarray:
+    """Reverse means of ``policy`` at the stored states x_1..x_T, given as a
+    (T, m, d) stack; returns (T, m, d). The one numpy pass that re-runs a
+    policy on stored states (a trajectory's are ``traj.states[1:]``)."""
+    return np.stack([reverse_mean(policy, x_t, t) for t, x_t in enumerate(states, start=1)])
 
 
 def log_probs_under(policy: PolicyNet, traj: Trajectory) -> np.ndarray:
     """Log densities of the stored transitions under another policy, (T, m)."""
-    return gaussian_log_density(traj.states[:-1], means_under(policy, traj), policy.schedule.rev_var)
+    return gaussian_log_density(traj.states[:-1], means_under(policy, traj.states[1:]),
+                                policy.schedule.rev_var)
 
 
 # -- tape builders --------------------------------------------------------
@@ -235,9 +234,9 @@ def net_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node], x: 
     return forward_on_tape(tape, policy.net, param_nodes, tape.concat_cols(x, feats))
 
 
-def eps_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
-                x: Node, t: int) -> Node:
-    """Record policy.eps(x, t) with x live on the tape."""
+def reverse_mean_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
+                         x: Node, t: int) -> Node:
+    """Record reverse_mean(policy, x, t) with x live on the tape."""
     s = policy.schedule
     parts = []
     if policy.base is not None:
@@ -246,14 +245,33 @@ def eps_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
                                       marg.variances, float(s.sigma_pert[t])))
     if policy.net is not None:
         parts.append(net_on_tape(tape, policy, param_nodes, x, t))
-    out = parts[0]
-    for p in parts[1:]:
-        out = tape.add(out, p)
-    return out
-
-
-def reverse_mean_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
-                         x: Node, t: int) -> Node:
-    s = policy.schedule
-    eps = eps_on_tape(tape, policy, param_nodes, x, t)
+    eps = parts[0] if len(parts) == 1 else tape.add(*parts)
     return tape.add(tape.scale(x, 1.0 + 0.5 * s.dt), tape.scale(eps, -s.dt / s.sigma_eff(t)))
+
+
+def means_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, Node],
+                  states: np.ndarray) -> Node:
+    """Record the reverse means of ``policy`` at the stored states x_1..x_T,
+    a (T, m, d) stack, as one (T*m, d) node ordered level by level: the tape
+    twin of :func:`means_under`.
+
+    The states are constants, so the analytic part (drift and mixture noise)
+    is one numpy constant, computed exactly as :func:`reverse_mean` computes
+    it; a zero net output therefore gives the analytic means bitwise. The net
+    is recorded once over all rows, with per-row time features and the
+    per-row factor -dt / sigma_eff(t).
+    """
+    s = policy.schedule
+    T, m, d = states.shape
+    x = states.reshape(T * m, d)
+    if policy.base is not None:
+        fixed = means_under(replace(policy, net=None), states).reshape(T * m, d)
+    else:
+        fixed = x * (1.0 + 0.5 * s.dt)
+    out = tape.constant(fixed)
+    if policy.net is None:
+        return out
+    steps = np.repeat(np.arange(1, T + 1), m)
+    net_out = forward_on_tape(tape, policy.net, param_nodes, tape.constant(s.net_input(x, steps)))
+    coef = np.broadcast_to((-s.dt / s.sigma_eff(steps))[:, None], (T * m, d))
+    return tape.add(out, tape.mul(tape.constant(coef), net_out))

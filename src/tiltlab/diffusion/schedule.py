@@ -32,9 +32,9 @@ class DiffusionSchedule:
     def rev_std(self) -> float:
         return float(np.sqrt(self.rev_var))
 
-    def sigma_eff(self, t: int) -> float:
-        """Perturbation scale with the near-zero floor applied."""
-        return max(float(self.sigma_pert[t]), self.sigma_floor)
+    def sigma_eff(self, t):
+        """Perturbation scale with the near-zero floor applied; ``t`` is one step or one per row."""
+        return np.maximum(self.sigma_pert[t], self.sigma_floor)
 
     @property
     def clamped_steps(self) -> list[int]:

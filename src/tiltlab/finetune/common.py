@@ -29,7 +29,9 @@ def kl_penalty(policy: PolicyNet, pre_policy: PolicyNet, traj: Trajectory) -> np
         or policy.schedule.rev_var != pre_policy.schedule.rev_var
     ):
         raise ContractError("policies live on different schedules")
-    kl = step_kl_terms(means_under(policy, traj), means_under(pre_policy, traj), policy.schedule.rev_var)
+    states = traj.states[1:]
+    kl = step_kl_terms(means_under(policy, states), means_under(pre_policy, states),
+                       policy.schedule.rev_var)
     return kl.sum(axis=0)
 
 

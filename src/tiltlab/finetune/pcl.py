@@ -27,7 +27,7 @@ from ..autodiff import (
     AdamState, MlpModel, Tape, adam_step, bind_params, descend, evaluate, forward_on_tape, gradient,
 )
 from ..diffusion.policy import (
-    PolicyNet, Trajectory, gaussian_log_density, means_under, reverse_mean_on_tape,
+    PolicyNet, Trajectory, gaussian_log_density, means_on_tape, means_under,
 )
 from ..errors import ContractError, NumericError
 from ..rewards import RewardSpec, eval_reward
@@ -83,8 +83,8 @@ def pcl_residual_arrays(policy, pre_policy, value: MlpModel, traj: Trajectory,
     values[0] = r
     for t in range(1, traj.n_steps + 1):
         values[t] = evaluate(value, s.net_input(traj.states[t], t))[:, 0]
-    means = means_under(policy, traj)
-    pre_means = means_under(pre_policy, traj)
+    means = means_under(policy, traj.states[1:])
+    pre_means = means_under(pre_policy, traj.states[1:])
     lp_cur = gaussian_log_density(traj.states[:-1], means, s.rev_var)
     lp_pre = gaussian_log_density(traj.states[:-1], pre_means, s.rev_var)
     return values, lp_cur, lp_pre, step_kl_terms(means, pre_means, s.rev_var)
@@ -145,15 +145,11 @@ def pcl_iteration(
     # Policy step: log p_theta live, values at the snapshot on both ends.
     tape = Tape()
     pnodes = bind_policy(tape, policy, trainable=True)
-    total = None
-    for t in range(1, traj.n_steps + 1):
-        rho = reverse_mean_on_tape(tape, policy, pnodes, tape.constant(traj.states[t]), t)
-        lp = tape.gaussian_logpdf(tape.constant(traj.states[t - 1]), rho, s.rev_var)
-        rest = values[t] / alpha - values[t - 1] / alpha - lp_pre[t - 1]
-        res = tape.add(lp, tape.constant(rest))
-        term = tape.sumall(tape.square(res))
-        total = term if total is None else tape.add(total, term)
-    loss_p = tape.scale(total, 1.0 / cfg.batch)
+    means = means_on_tape(tape, policy, pnodes, traj.states[1:])
+    x_prev = tape.constant(traj.states[:-1].reshape(means.shape))
+    rest = tape.constant((values[1:] / alpha - values[:-1] / alpha - lp_pre).reshape(-1))
+    res = tape.add(tape.gaussian_logpdf(x_prev, means, s.rev_var), rest)
+    loss_p = tape.scale(tape.sumall(tape.square(res)), 1.0 / cfg.batch)
     new_policy_params, opt_policy, norm_p = descend(loss_p, pnodes, policy.params, opt_policy, cfg.lr)
 
     record = TrainLogRecord(

@@ -1,18 +1,24 @@
 """Clipped-surrogate policy optimization against a KL-shaped signal.
 
-Each outer iteration samples a batch from the snapshot policy, forms the
-per-step signal
+Each outer iteration samples a batch from the snapshot policy and forms
+the per-step signal, the cost to go of the action taken at step t,
 
-    signal[t, i] = -r(x_0^i) + alpha * ||rho_s(x_t^i) - rho_pre(x_t^i)||^2 / (2 sigma^2(t))
+    signal[t, i] = -r(x_0^i) + alpha * sum_{k<t} KL_k(x_k^i),
+    KL_k(x) = ||rho_s(x) - rho_pre(x)||^2 / (2 sigma^2(k)),
 
-as a constant, and descends the surrogate
+as a constant (the later steps k < t are the only KL terms that action
+moves). It then descends
 
     sum_{t,i} min(signal * ratio, signal * clip(ratio, 1-eps, 1+eps)) / m
+        + alpha * sum_{t,i} ||rho_theta(x_t^i) - rho_pre(x_t^i)||^2 / (2 sigma^2 m)
 
-where ratio is the live-to-snapshot transition density ratio. The reward
-enters only through its values, so black-box rewards are fine. With a
-single inner epoch the ratio is identically one at the evaluation point
-and the clip is inert; it engages on further inner epochs.
+where ratio is the live-to-snapshot transition density ratio. The second
+term is the pathwise gradient of each step's KL at the stored state (the
+DPOK form); with the score-function part above it, the gradient is that
+of E[r] - alpha * sum_t E[KL_t] at the snapshot. The reward enters only
+through its values, so black-box rewards are fine. With a single inner
+epoch the ratio is identically one at the evaluation point and the clip
+is inert; it engages on further inner epochs.
 """
 
 from __future__ import annotations
@@ -21,52 +27,47 @@ import time
 
 import numpy as np
 
-from ..autodiff import AdamState, Tape, descend
-from ..diffusion.policy import PolicyNet, Trajectory, means_under, reverse_mean_on_tape, sample_trajectory
+from ..autodiff import AdamState, Node, Tape, descend
+from ..diffusion.policy import PolicyNet, Trajectory, means_on_tape, means_under, sample_trajectory
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, step_kl_terms
 from .config import FineTuneConfig, TrainLogRecord
 
 
 def ppo_signals(traj: Trajectory, pre_policy: PolicyNet, reward_spec: RewardSpec,
-                alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(T, m) surrogate signal, constant in the live parameters, and its (T, m) KL terms.
+                alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, m) surrogate signal, constant in the live parameters, its (T, m) KL
+    terms and the (T, m, d) pre-trained means at the stored states.
 
     The snapshot's means are read from ``traj``, so it must be the snapshot's
     own unshifted, unswitched sample."""
     r = eval_reward(reward_spec, traj.terminal)
-    kl = step_kl_terms(traj.means, means_under(pre_policy, traj), pre_policy.schedule.rev_var)
-    return -r[None, :] + alpha * kl, kl
+    pre_means = means_under(pre_policy, traj.states[1:])
+    kl = step_kl_terms(traj.means, pre_means, pre_policy.schedule.rev_var)
+    return -r[None, :] + alpha * (np.cumsum(kl, axis=0) - kl), kl, pre_means
 
 
-def ppo_surrogate(tape: Tape, policy: PolicyNet, param_nodes, traj: Trajectory,
-                  signals: np.ndarray, clip: float, clipped: bool = True):
-    """Record the (optionally unclipped) surrogate; returns the scalar node."""
-    s = policy.schedule
-    total = None
-    for t in range(1, traj.n_steps + 1):
-        x_t = tape.constant(traj.states[t])
-        x_prev = tape.constant(traj.states[t - 1])
-        rho = reverse_mean_on_tape(tape, policy, param_nodes, x_t, t)
-        lp_new = tape.gaussian_logpdf(x_prev, rho, s.rev_var)
-        ratio = tape.exp(tape.sub(lp_new, tape.constant(traj.log_probs[t - 1])))
-        sig = tape.constant(signals[t - 1])
-        if clipped:
-            term = tape.minimum(tape.mul(sig, ratio),
-                                tape.mul(sig, tape.clip(ratio, 1.0 - clip, 1.0 + clip)))
-        else:
-            term = tape.mul(sig, ratio)
-        summed = tape.sumall(term)
-        total = summed if total is None else tape.add(total, summed)
-    return tape.scale(total, 1.0 / traj.batch)
+def ppo_surrogate(tape: Tape, means: Node, traj: Trajectory, signals: np.ndarray,
+                  rev_var: float, clip: float, clipped: bool = True) -> Node:
+    """Record the (optionally unclipped) surrogate over ``means``, the live
+    policy's :func:`means_on_tape` at the stored states; returns the scalar node."""
+    x_prev = tape.constant(traj.states[:-1].reshape(means.shape))
+    lp_new = tape.gaussian_logpdf(x_prev, means, rev_var)
+    ratio = tape.exp(tape.sub(lp_new, tape.constant(traj.log_probs.reshape(-1))))
+    sig = tape.constant(signals.reshape(-1))
+    term = tape.mul(sig, ratio)
+    if clipped:
+        term = tape.minimum(term, tape.mul(sig, tape.clip(ratio, 1.0 - clip, 1.0 + clip)))
+    return tape.scale(tape.sumall(term), 1.0 / traj.batch)
 
 
 def ppo_surrogate_value(policy: PolicyNet, traj: Trajectory, signals: np.ndarray,
                         clip: float, clipped: bool = True) -> float:
     """Surrogate value only (no gradients), for the clip-band equality check."""
     tape = Tape()
-    nodes = bind_policy(tape, policy, trainable=False)
-    return float(ppo_surrogate(tape, policy, nodes, traj, signals, clip, clipped).value)
+    means = means_on_tape(tape, policy, bind_policy(tape, policy, trainable=False), traj.states[1:])
+    loss = ppo_surrogate(tape, means, traj, signals, policy.schedule.rev_var, clip, clipped)
+    return float(loss.value)
 
 
 def ppo_iteration(
@@ -81,7 +82,9 @@ def ppo_iteration(
     t0 = time.perf_counter()
     snapshot = policy.snapshot()
     traj = sample_trajectory(snapshot, rng, cfg.batch, final_step_noise=cfg.final_step_noise)
-    signals, kl = ppo_signals(traj, pre_policy, reward_spec, cfg.alpha)
+    signals, kl, pre_means = ppo_signals(traj, pre_policy, reward_spec, cfg.alpha)
+    rev_var = policy.schedule.rev_var
+    kl_scale = cfg.alpha / (2.0 * rev_var * cfg.batch)  # alpha * sum_{t,i} KL_t / m
 
     params = policy.params
     loss_val = 0.0
@@ -90,7 +93,10 @@ def ppo_iteration(
         live = policy.with_params(params)
         tape = Tape()
         nodes = bind_policy(tape, live, trainable=True)
-        loss = ppo_surrogate(tape, live, nodes, traj, signals, cfg.clip)
+        means = means_on_tape(tape, live, nodes, traj.states[1:])
+        diff = tape.sub(means, tape.constant(pre_means.reshape(means.shape)))
+        kl_term = tape.scale(tape.sumall(tape.square(diff)), kl_scale)
+        loss = tape.add(ppo_surrogate(tape, means, traj, signals, rev_var, cfg.clip), kl_term)
         params, opt, grad_norm = descend(loss, nodes, params, opt, cfg.lr)
         loss_val = float(loss.value)
 

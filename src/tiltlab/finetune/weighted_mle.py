@@ -15,10 +15,10 @@ import time
 import numpy as np
 
 from ..autodiff import AdamState, Tape, descend
-from ..diffusion.policy import PolicyNet, reverse_mean, reverse_mean_on_tape, sample_trajectory
+from ..diffusion.policy import PolicyNet, means_on_tape, means_under, sample_trajectory
 from ..errors import ContractError
 from ..rewards import RewardSpec, eval_reward
-from .common import bind_policy, stabilized_weights
+from .common import bind_policy, stabilized_weights, step_kl_terms
 from .config import FineTuneConfig, TrainLogRecord
 
 
@@ -62,22 +62,17 @@ def reward_weighted_mle_iteration(
 
     tape = Tape()
     nodes = bind_policy(tape, policy, trainable=True)
-    total = None
-    kl_est = 0.0
-    for t in range(1, s.n_steps + 1):
-        rho = reverse_mean_on_tape(tape, policy, nodes, tape.constant(x_t[t - 1]), t)
-        sq = tape.sum_cols(tape.square(tape.sub(tape.constant(x_prev[t - 1]), rho)))
-        term = tape.sumall(tape.mul(tape.constant(weights[t - 1]), sq))
-        total = term if total is None else tape.add(total, term)
-        diff = rho.value - reverse_mean(pre_policy, x_t[t - 1], t)
-        kl_est += float((diff * diff).sum(axis=1).mean() / (2.0 * s.rev_var))
-    loss = tape.scale(total, 1.0 / (cfg.batch * s.rev_var))
+    means = means_on_tape(tape, policy, nodes, x_t)
+    sq = tape.sum_cols(tape.square(tape.sub(tape.constant(x_prev.reshape(means.shape)), means)))
+    loss = tape.scale(tape.sumall(tape.mul(tape.constant(weights.reshape(-1)), sq)),
+                      1.0 / (cfg.batch * s.rev_var))
+    kl = step_kl_terms(means.value.reshape(x_t.shape), means_under(pre_policy, x_t), s.rev_var)
     params, opt, grad_norm = descend(loss, nodes, policy.params, opt, cfg.lr)
 
     record = TrainLogRecord(
         iteration=iteration,
         mean_reward=float(rewards.mean()),
-        kl_estimate=kl_est,
+        kl_estimate=float(kl.sum(axis=0).mean()),
         loss=float(loss.value),
         grad_norm=grad_norm,
         wall_time=time.perf_counter() - t0,

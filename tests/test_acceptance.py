@@ -240,7 +240,7 @@ def test_criterion_09_reduction_checks(residual16, analytic16):
     drift_ppo = param_distance(ppo.policy.params, residual16.params)
 
     traj = sample_trajectory(residual16, make_rng(31), n=32)
-    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
+    signals, *_ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
     clipped = ppo_surrogate_value(residual16, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(residual16, traj, signals, clip=0.2, clipped=False)
 

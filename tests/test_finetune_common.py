@@ -6,6 +6,7 @@ from tiltlab.diffusion import (
     add_residual_net,
     gaussian_log_density,
     make_schedule,
+    means_under,
     reverse_mean,
     sample_trajectory,
 )
@@ -85,10 +86,15 @@ def test_ppo_and_pcl_kl_terms_match_kl_penalty(residual16, analytic16):
     assert want.min() > 0.0
 
     reward = LinearReward([1.0])
-    signals, kl = ppo_signals(traj, analytic16, reward, alpha=0.5)
+    signals, kl, pre_means = ppo_signals(traj, analytic16, reward, alpha=0.5)
     assert kl.shape == (traj.n_steps, traj.batch)
     assert np.array_equal(kl.sum(axis=0), want)
-    assert np.array_equal(signals, -eval_reward(reward, traj.terminal)[None, :] + 0.5 * kl)
+    # Step t's signal carries the KL of the later steps k < t, the ones its action moves.
+    later = np.vstack([np.zeros((1, traj.batch)), np.cumsum(kl, axis=0)[:-1]])
+    assert np.allclose(signals, -eval_reward(reward, traj.terminal)[None, :] + 0.5 * later,
+                       rtol=0, atol=1e-13)
+    assert np.array_equal(signals[0], -eval_reward(reward, traj.terminal))
+    assert np.array_equal(pre_means, means_under(analytic16, traj.states[1:]))
 
     value = init_mlp([3, 4, 1], make_rng(12))
     *_, kl = pcl_residual_arrays(policy, analytic16, value, traj, reward, alpha=0.5)
@@ -169,3 +175,28 @@ def test_one_iteration_leaves_no_tape_alive(residual16, recorded_tapes, algorith
     assert len(result.records) == 1
     assert recorded_tapes
     assert [ref for ref in recorded_tapes if ref() is not None] == []
+
+
+@pytest.mark.parametrize("algorithm", ["ppo", "weighted-mle", "pcl"])
+def test_stored_state_loss_tapes_do_not_grow_with_steps(std_base, monkeypatch, algorithm):
+    # PPO, PCL's policy step and weighted MLE record the policy once over all
+    # T*m stored states, with the analytic part a constant: their loss tapes
+    # hold the same ops at T = 4 and T = 16, and no mixture_eps node.
+    from tiltlab.autodiff import optim
+
+    ops = []
+    inner = optim.gradient
+
+    def recording(output, wrt):
+        ops.append([node.op for node in output.tape.nodes])
+        return inner(output, wrt)
+
+    monkeypatch.setattr(optim, "gradient", recording)
+    for n_steps in (4, 16):
+        analytic = PolicyNet(make_schedule(n_steps, 6.0), base=std_base)
+        pre = add_residual_net(analytic, make_rng(13), hidden=(8,))
+        cfg = FineTuneConfig(algorithm, alpha=1.0, batch=8, iterations=1, value_hidden=(8,), seed=1)
+        run_finetune(pre, LinearReward([1.0]), cfg)
+    assert len(ops) == 2
+    assert ops[0] == ops[1]
+    assert "mixture_eps" not in ops[0]

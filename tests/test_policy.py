@@ -6,14 +6,17 @@ from scipy.integrate import quad
 from tiltlab.diffusion import (
     GaussianMixture,
     PolicyNet,
+    add_residual_net,
     analytic_eps,
     gaussian_log_density,
     log_probs_under,
     make_schedule,
+    means_on_tape,
+    means_under,
     reverse_mean,
     sample_trajectory,
 )
-from tiltlab.autodiff import zero_mlp
+from tiltlab.autodiff import Tape, bind_params, gradient, init_mlp, zero_mlp
 from tiltlab.errors import ContractError, NumericError
 from tiltlab.harness import energy_permutation_pvalue
 from tiltlab.oracle import conditional_expected_noise
@@ -232,3 +235,76 @@ def test_final_step_noise_convention_toggle(analytic16):
     traj = sample_trajectory(analytic16, make_rng(15), n=4, final_step_noise=False)
     assert np.array_equal(traj.states[0], traj.means[0])
     assert np.array_equal(traj.states[0], reverse_mean(analytic16, traj.states[1], 1))
+
+
+# -- re-scoring stored states on the tape --------------------------------------
+
+
+def _two_mode_2d():
+    base = GaussianMixture(np.array([0.4, 0.6]), np.array([[-2.0, 1.0], [2.0, -0.5]]),
+                           np.array([0.7, 1.1]))
+    return PolicyNet(make_schedule(8, 5.0), base=base)
+
+
+def _perturbed(policy, scale, seed):
+    rng = make_rng(seed)
+    return policy.with_params(
+        {k: v + scale * rng.standard_normal(v.shape) for k, v in policy.params.items()}
+    )
+
+
+@pytest.fixture(params=["residual-2d", "net-only-2d"])
+def rescoring_policy(request):
+    if request.param == "residual-2d":
+        return _perturbed(add_residual_net(_two_mode_2d(), make_rng(20), hidden=(8,)), 0.3, 21)
+    return PolicyNet(make_schedule(8, 5.0), net=init_mlp([4, 8, 2], make_rng(22)))
+
+
+def _tape_means(policy, states):
+    tape = Tape()
+    nodes = bind_params(tape, policy.params)
+    return tape, nodes, means_on_tape(tape, policy, nodes, states)
+
+
+def test_means_on_tape_matches_means_under(rescoring_policy):
+    states = sample_trajectory(rescoring_policy, make_rng(23), n=16).states[1:]
+    _, _, node = _tape_means(rescoring_policy, states)
+    want = means_under(rescoring_policy, states)
+    assert node.value.shape == (states.shape[0] * 16, 2)
+    assert np.abs(node.value - want.reshape(node.value.shape)).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_means_on_tape_is_bitwise_at_zero_net_output():
+    # A zero output layer leaves exactly the analytic means (residual) or
+    # the pure drift (net only), as reverse_mean computes them.
+    analytic = _two_mode_2d()
+    net_only = PolicyNet(analytic.schedule, net=zero_mlp([4, 8, 2]))
+    for policy, reference in ((add_residual_net(analytic, make_rng(24), hidden=(8,)), analytic),
+                              (net_only, net_only)):
+        states = sample_trajectory(analytic, make_rng(25), n=16).states[1:]
+        _, _, node = _tape_means(policy, states)
+        want = means_under(reference, states).reshape(node.value.shape)
+        assert np.array_equal(node.value, want)
+        assert np.array_equal(node.value, means_under(policy, states).reshape(node.value.shape))
+
+
+def test_means_on_tape_parameter_gradient_matches_central_differences(rescoring_policy):
+    # Independent path: central differences of the numpy means_under.
+    states = sample_trajectory(rescoring_policy, make_rng(26), n=6).states[1:]
+    tape, nodes, node = _tape_means(rescoring_policy, states)
+    cot = make_rng(27).standard_normal(node.value.shape)
+    names = sorted(nodes)
+    grads = dict(zip(names, gradient(tape.sumall(tape.mul(node, tape.constant(cot))),
+                                     [nodes[k] for k in names])))
+    h = 1e-6
+    for name in names:
+        fd = np.zeros_like(grads[name])
+        for idx in np.ndindex(fd.shape):
+            vals = []
+            for sign in (1.0, -1.0):
+                params = {k: v.copy() for k, v in rescoring_policy.params.items()}
+                params[name][idx] += sign * h
+                means = means_under(rescoring_policy.with_params(params), states)
+                vals.append((means.reshape(cot.shape) * cot).sum())
+            fd[idx] = (vals[0] - vals[1]) / (2 * h)
+        assert np.abs(grads[name] - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), name

@@ -3,6 +3,7 @@ import numpy as np
 from tiltlab.autodiff import param_distance
 from tiltlab.diffusion import sample_trajectory
 from tiltlab.finetune import FineTuneConfig, ppo_signals, ppo_surrogate_value, run_finetune
+from tiltlab.oracle import chain_stats
 from tiltlab.rewards import BlackBoxReward, LinearReward
 from tiltlab.streams import make_rng
 
@@ -10,7 +11,7 @@ from tiltlab.streams import make_rng
 def test_surrogate_equals_unclipped_at_snapshot(residual16, analytic16):
     # At theta = theta_old every ratio is exactly one, inside the band.
     traj = sample_trajectory(residual16, make_rng(1), n=32)
-    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
+    signals, *_ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
     clipped = ppo_surrogate_value(residual16, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(residual16, traj, signals, clip=0.2, clipped=False)
     assert clipped == plain
@@ -24,7 +25,7 @@ def test_surrogate_equals_unclipped_inside_band(residual16, analytic16):
         {k: v + 1e-4 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
     )
     traj = sample_trajectory(residual16, make_rng(3), n=32)
-    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
+    signals, *_ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
 
     from tiltlab.diffusion import log_probs_under
 
@@ -41,7 +42,7 @@ def test_clip_engages_outside_band(residual16, analytic16):
         {k: v + 0.5 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
     )
     traj = sample_trajectory(residual16, make_rng(5), n=32)
-    signals, _ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
+    signals, *_ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
     clipped = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=False)
     assert clipped != plain
@@ -54,6 +55,21 @@ def test_reward_ascent_without_regularization(analytic16, residual16):
     pre_mean = sample_trajectory(residual16, make_rng(6), 4000).terminal.mean()
     tuned_mean = sample_trajectory(result.policy, make_rng(6), 4000).terminal.mean()
     assert tuned_mean - pre_mean >= 0.5
+
+
+def test_terminal_mean_follows_alpha_to_tilted_target(residual16, std_base, sched16):
+    # The KL of the later steps in each return and the pathwise KL gradient
+    # at the stored states make PPO follow alpha: each terminal mean lies
+    # within 30% of the chain's tilted optimum, and the weaker penalty tilts further.
+    cs = chain_stats(sched16, std_base)
+    means = {}
+    for alpha in (0.5, 2.0):
+        cfg = FineTuneConfig("ppo", alpha=alpha, batch=128, iterations=100, lr=1e-2, seed=0)
+        result = run_finetune(residual16, LinearReward([1.0]), cfg)
+        means[alpha] = sample_trajectory(result.policy, make_rng(6), 4000).terminal.mean()
+        target, _ = cs.tilted_terminal(1.0, alpha)
+        assert abs(means[alpha] - target) <= 0.3 * target, (alpha, means[alpha], target)
+    assert means[0.5] > means[2.0]
 
 
 def test_black_box_reward_is_accepted(residual16):
