@@ -161,7 +161,6 @@ def sample_trajectory(
     rng: np.random.Generator,
     n: int = 1,
     shift_source=None,
-    final_step_noise: bool = True,
     pre_policy: PolicyNet | None = None,
     switch=0,
 ) -> Trajectory:
@@ -169,8 +168,6 @@ def sample_trajectory(
 
     ``shift_source`` (optional) adds a mean shift at every step without
     touching the policy; it must expose ``shift(x, t) -> (n, d)``.
-    Setting ``final_step_noise=False`` emits the mean at the last step,
-    the alternative convention kept for ablations.
 
     ``switch`` (one index, or one per row) composes a roll-in: a row runs
     ``policy`` at steps t > switch and ``pre_policy`` at t <= switch, and
@@ -200,10 +197,7 @@ def sample_trajectory(
             mu[~cur] = reverse_mean(pre_policy, x[~cur], t)
         if shift_source is not None:
             mu = mu + shift_source.shift(x, t)
-        if t == 1 and not final_step_noise:
-            x = mu
-        else:
-            x = mu + s.rev_std * rng.standard_normal((n, d))
+        x = mu + s.rev_std * rng.standard_normal((n, d))
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite state at reverse step {t}")
         log_probs[t - 1] = gaussian_log_density(x, mu, s.rev_var)

@@ -1,4 +1,4 @@
-from .config import ALGORITHMS, FineTuneConfig, TrainLogRecord
+from .config import ALGORITHMS, FineTuneConfig, TrainLogRecord, rollin_switch
 from .common import (
     differentiable_rollout,
     kl_penalty,
@@ -19,7 +19,7 @@ from .pcl import (
 from .driver import FineTuneResult, run_finetune
 
 __all__ = [
-    "ALGORITHMS", "FineTuneConfig", "TrainLogRecord",
+    "ALGORITHMS", "FineTuneConfig", "TrainLogRecord", "rollin_switch",
     "differentiable_rollout", "kl_penalty", "rollin_trajectory",
     "stabilized_weights", "step_kl_terms",
     "ppo_iteration", "ppo_signals", "ppo_surrogate_value",

@@ -40,9 +40,7 @@ def reward_backprop_iteration(
     nodes = bind_policy(tape, policy, trainable=True)
     pre_nodes = bind_policy(tape, pre_policy, trainable=False)
     terminal, kl = differentiable_rollout(
-        tape, policy, pre_policy, nodes, pre_nodes, cfg.batch, rng,
-        final_step_noise=cfg.final_step_noise,
-    )
+        tape, policy, pre_policy, nodes, pre_nodes, cfg.batch, rng)
     r = reward_on_tape(tape, reward_spec, terminal)
     objective = tape.sub(r, tape.scale(kl, cfg.alpha))
     loss = tape.scale(tape.sumall(objective), -1.0 / cfg.batch)

@@ -15,6 +15,7 @@ from ..diffusion.policy import (
     sample_trajectory,
 )
 from ..errors import ContractError, NumericError
+from .config import rollin_switch
 
 
 def kl_penalty(policy: PolicyNet, pre_policy: PolicyNet, traj: Trajectory) -> np.ndarray:
@@ -104,7 +105,6 @@ def differentiable_rollout(
     pre_nodes: dict[str, Node],
     m: int,
     rng: np.random.Generator,
-    final_step_noise: bool = True,
 ) -> tuple[Node, Node]:
     """Reparameterized chain: states as tape functions of the parameters.
 
@@ -122,11 +122,8 @@ def differentiable_rollout(
         diff = tape.sub(rho, rho_pre)
         term = tape.scale(tape.sum_cols(tape.square(diff)), 1.0 / (2.0 * s.rev_var))
         kl_total = term if kl_total is None else tape.add(kl_total, term)
-        if t == 1 and not final_step_noise:
-            x = rho
-        else:
-            z = tape.constant(s.rev_std * rng.standard_normal((m, d)))
-            x = tape.add(rho, z)
+        z = tape.constant(s.rev_std * rng.standard_normal((m, d)))
+        x = tape.add(rho, z)
     return x, kl_total
 
 
@@ -136,17 +133,9 @@ def rollin_trajectory(
     rollin: str,
     m: int,
     rng: np.random.Generator,
-    final_step_noise: bool = True,
 ) -> Trajectory:
     """Sample per the configured roll-in: current, pretrained, or a
     prefix-switch mixture (current above the switch index, pretrained at
     and below it)."""
-    kind = rollin.split(":")[0]
-    if kind == "current":
-        switch = 0
-    elif kind == "pretrained":
-        switch = policy.schedule.n_steps
-    else:
-        switch = int(rollin.split(":")[1])
-    return sample_trajectory(policy, rng, m, final_step_noise=final_step_noise,
-                             pre_policy=pre_policy, switch=switch)
+    return sample_trajectory(policy, rng, m, pre_policy=pre_policy,
+                             switch=rollin_switch(rollin, policy.schedule.n_steps))

@@ -9,7 +9,26 @@ from ..errors import CapabilityError, ConfigError
 from ..rewards import RewardSpec
 
 ALGORITHMS = ("ppo", "backprop", "weighted-mle", "pcl")
-ROLLIN_KINDS = ("current", "pretrained", "mixture")
+
+
+def rollin_switch(rollin: str, n_steps: int | None = None) -> int | None:
+    """The roll-in's switch index: a row runs the current policy at steps
+    t > switch and the pre-trained one at t <= switch.
+
+    ``current`` is 0, ``pretrained`` is ``n_steps`` and ``mixture:<k>`` is k.
+    Any other string raises ConfigError, and so does k > ``n_steps`` when
+    ``n_steps`` is given (without it, only the string's form is checked).
+    """
+    if rollin == "current":
+        return 0
+    if rollin == "pretrained":
+        return n_steps
+    kind, _, k = str(rollin).partition(":")
+    if kind != "mixture" or not k.isdecimal():
+        raise ConfigError(f"finetune.rollin: expected current, pretrained or mixture:<k>, got {rollin!r}")
+    if n_steps is not None and int(k) > n_steps:
+        raise ConfigError(f"finetune.rollin: switch index outside [0, {n_steps}]")
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -26,7 +45,6 @@ class FineTuneConfig:
     seed: int = 0
     value_hidden: tuple[int, ...] = (32, 32)
     value_lr: float | None = None
-    final_step_noise: bool = True
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -47,14 +65,7 @@ class FineTuneConfig:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.algorithm in ("weighted-mle", "pcl") and self.alpha <= 0.0:
             raise ConfigError(f"{self.algorithm} is not well-defined at alpha = 0")
-        kind = self.rollin.split(":")[0]
-        if kind not in ROLLIN_KINDS:
-            raise ConfigError(f"unknown roll-in '{self.rollin}'")
-        if kind == "mixture":
-            try:
-                int(self.rollin.split(":")[1])
-            except (IndexError, ValueError):
-                raise ConfigError("mixture roll-in needs a switch index, e.g. 'mixture:4'") from None
+        rollin_switch(self.rollin)
 
     def check_reward(self, spec: RewardSpec) -> None:
         """Reject capability clashes before any computation starts."""

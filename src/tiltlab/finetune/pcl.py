@@ -132,7 +132,7 @@ def pcl_iteration(
     t0 = time.perf_counter()
     s = policy.schedule
     alpha = cfg.alpha
-    traj = rollin_trajectory(policy, pre_policy, cfg.rollin, cfg.batch, rng, cfg.final_step_noise)
+    traj = rollin_trajectory(policy, pre_policy, cfg.rollin, cfg.batch, rng)
     values, lp_cur, lp_pre, kl = pcl_residual_arrays(policy, pre_policy, value, traj, reward_spec, alpha)
     if lp_cur.min() < LOGP_GUARD or lp_pre.min() < LOGP_GUARD:
         raise NumericError("transition log density below the -1e8 guard")

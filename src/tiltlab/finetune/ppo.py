@@ -81,7 +81,7 @@ def ppo_iteration(
 ) -> tuple[PolicyNet, AdamState, TrainLogRecord]:
     t0 = time.perf_counter()
     snapshot = policy.snapshot()
-    traj = sample_trajectory(snapshot, rng, cfg.batch, final_step_noise=cfg.final_step_noise)
+    traj = sample_trajectory(snapshot, rng, cfg.batch)
     signals, kl, pre_means = ppo_signals(traj, pre_policy, reward_spec, cfg.alpha)
     rev_var = policy.schedule.rev_var
     kl_scale = cfg.alpha / (2.0 * rev_var * cfg.batch)  # alpha * sum_{t,i} KL_t / m

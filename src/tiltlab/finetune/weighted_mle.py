@@ -27,7 +27,6 @@ def collect_mle_tuples(
     pre_policy: PolicyNet,
     m: int,
     rng: np.random.Generator,
-    final_step_noise: bool = True,
 ):
     """Per level t: x_t from the current-policy prefix, x_{t-1} and x_0 from
     the pre-trained suffix. Returns (x_t, x_prev, x0) arrays of shape (T, m, d).
@@ -36,8 +35,8 @@ def collect_mle_tuples(
     switch to the pre-trained policy at step t.
     """
     T = policy.schedule.n_steps
-    traj = sample_trajectory(policy, rng, T * m, final_step_noise=final_step_noise,
-                             pre_policy=pre_policy, switch=np.repeat(np.arange(1, T + 1), m))
+    traj = sample_trajectory(policy, rng, T * m, pre_policy=pre_policy,
+                             switch=np.repeat(np.arange(1, T + 1), m))
     states = traj.states.reshape(T + 1, T, m, policy.dim)
     level = np.arange(T)
     return states[level + 1, level], states[level, level], states[0]
@@ -56,7 +55,7 @@ def reward_weighted_mle_iteration(
         raise ContractError("weighted MLE requires alpha > 0")
     t0 = time.perf_counter()
     s = policy.schedule
-    x_t, x_prev, x0 = collect_mle_tuples(policy, pre_policy, cfg.batch, rng, cfg.final_step_noise)
+    x_t, x_prev, x0 = collect_mle_tuples(policy, pre_policy, cfg.batch, rng)
     rewards = eval_reward(reward_spec, x0.reshape(-1, policy.dim)).reshape(s.n_steps, cfg.batch)
     weights = stabilized_weights(rewards, cfg.alpha)
 

@@ -31,7 +31,6 @@ def value_weighted_sample(
     guided: GuidedPolicy,
     rng: np.random.Generator,
     n: int,
-    final_step_noise: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Run the shifted reverse chain; returns terminal samples and shift diagnostics.
 
@@ -39,8 +38,7 @@ def value_weighted_sample(
     step T first.
     """
     recorder = _ShiftNorms(guided.source)
-    traj = sample_trajectory(guided.pre_policy, rng, n, shift_source=recorder,
-                             final_step_noise=final_step_noise)
+    traj = sample_trajectory(guided.pre_policy, rng, n, shift_source=recorder)
     diagnostics = {
         "mean_shift_norm_per_step": recorder.norms,
         "max_shift_norm": max(recorder.norms) if recorder.norms else 0.0,

@@ -17,7 +17,7 @@ import yaml
 from ..autodiff import load_model
 from ..diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule
 from ..errors import CapabilityError, ConfigError, ContractError, NumericError, ShapeError
-from ..finetune import FineTuneConfig
+from ..finetune import FineTuneConfig, rollin_switch
 from ..rewards import (
     BlackBoxReward,
     ClassifierReward,
@@ -90,8 +90,7 @@ def validate_config(cfg: dict) -> None:
     if kind == "finetune":
         ft = _named("finetune", build_finetune_config, cfg)
         ft.check_reward(reward)
-        if ft.rollin.startswith("mixture") and not 0 <= int(ft.rollin.split(":")[1]) <= schedule.n_steps:
-            raise ConfigError(f"finetune.rollin: switch index outside [0, {schedule.n_steps}]")
+        rollin_switch(ft.rollin, schedule.n_steps)
     if kind == "guide":
         g = cfg.get("guide", {})
         estimator = g.get("estimator")
@@ -123,7 +122,7 @@ def validate_config(cfg: dict) -> None:
         if not 0 <= _num("conditional.label", c.get("label", -1), int) < base.n_components:
             raise ConfigError("conditional.label: outside the mixture's components")
         if c.get("method", "value-weighted") != "value-weighted":
-            _named("finetune", build_finetune_config, cfg)
+            rollin_switch(_named("finetune", build_finetune_config, cfg).rollin, schedule.n_steps)
     if kind == "eval":
         e = cfg.get("eval", {})
         if "samples_a" not in e:

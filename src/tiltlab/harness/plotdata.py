@@ -1,8 +1,8 @@
 """Tidy CSV emission for external plotting tools.
 
 One file per figure family: training curves from the train log,
-normalized histogram of terminal samples with the analytic tilted-target
-overlay when the run's config admits one, value-function slices when a
+normalized histogram of terminal samples with the run's exact target
+density overlaid when an oracle covers the run, value-function slices when a
 value checkpoint exists, and a tidy copy of the metric records.
 """
 
@@ -17,9 +17,9 @@ import numpy as np
 import yaml
 
 from ..autodiff import evaluate, load_model
-from ..oracle import tilted_gaussian_target
+from ..diffusion import gaussian_log_density
 from . import config as cfgmod
-from .runner import read_samples_csv
+from .runner import exact_target, read_samples_csv
 
 HIST_BINS = 60
 
@@ -61,24 +61,18 @@ def _emit_curves(log: Path, out: Path) -> Path:
     return path
 
 
-def _analytic_overlay(run: Path):
+def _analytic_overlay(run: Path) -> tuple[float, float] | None:
+    """(mean, var) of a 1-D run's exact target, or None without one."""
     cfg_file = run / "config.yaml"
     if not cfg_file.exists():
         return None
-    cfg = yaml.safe_load(cfg_file.read_text())
     try:
-        base = cfgmod.build_base(cfg)
-        reward = cfgmod.build_reward(cfg)
+        target = exact_target(yaml.safe_load(cfg_file.read_text()))
     except Exception:
         return None
-    from ..rewards import LinearReward
-
-    if base.n_components != 1 or base.dim != 1 or not isinstance(reward, LinearReward):
+    if target is None or target[0].shape != (1,):
         return None
-    alpha = float(cfg.get("finetune", {}).get("alpha", cfg.get("guide", {}).get("alpha", 1.0)))
-    if alpha <= 0.0:
-        return None
-    return tilted_gaussian_target(base.means[0], float(base.variances[0]), reward.a, alpha)
+    return float(target[0][0]), float(target[1][0])
 
 
 def _emit_histogram(run: Path, samples_file: Path, out: Path) -> Path:
@@ -98,7 +92,7 @@ def _emit_histogram(run: Path, samples_file: Path, out: Path) -> Path:
         for i, c in enumerate(centers):
             row = [repr(float(c)), repr(float(widths[i])), repr(float(density[i]))]
             if target is not None:
-                row.append(repr(float(target.density(np.array([[c]]))[0])))
+                row.append(repr(float(np.exp(gaussian_log_density(c, *target)))))
             w.writerow(row)
     return path
 

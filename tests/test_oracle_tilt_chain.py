@@ -105,10 +105,3 @@ def test_tilted_terminal_reduces_to_plain_tilt_at_long_horizon(std_base):
     # With sens[T]^2 = e^{-horizon} the fixed-initial gap is invisible:
     assert abs(mean - var) < 1e-6  # mean = tau^2 ~ s^2 = var
     assert abs(var - 1.0) < 0.02   # discretization inflation only
-
-
-def test_final_step_noise_flag_changes_terminal_var(std_base, sched16):
-    with_noise = chain_stats(sched16, std_base, final_step_noise=True)
-    without = chain_stats(sched16, std_base, final_step_noise=False)
-    assert with_noise.terminal_var > without.terminal_var
-    assert abs((with_noise.terminal_var - without.terminal_var) - sched16.rev_var) < 1e-12

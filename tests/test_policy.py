@@ -230,13 +230,6 @@ def test_non_finite_shift_raises_with_step_index(analytic16):
     assert "step" in str(err.value)
 
 
-def test_final_step_noise_convention_toggle(analytic16):
-    s = analytic16.schedule
-    traj = sample_trajectory(analytic16, make_rng(15), n=4, final_step_noise=False)
-    assert np.array_equal(traj.states[0], traj.means[0])
-    assert np.array_equal(traj.states[0], reverse_mean(analytic16, traj.states[1], 1))
-
-
 # -- re-scoring stored states on the tape --------------------------------------
 
 
