@@ -70,13 +70,14 @@ def validate_config(cfg: dict) -> None:
                 raise type(exc)(f"runs[{i}].{exc}") from None
         return
 
-    o = cfg.get("oracle", {})
+    grid_oracle = False
     if kind == "oracle":
+        o = _section(cfg, "oracle")
         if o.get("check") not in ORACLE_CHECKS:
             raise ConfigError(f"oracle.check: expected one of {ORACLE_CHECKS}")
         if _num("oracle.alpha", o.get("alpha", 1.0)) <= 0.0:
             raise ConfigError("oracle.alpha: must be positive")
-    grid_oracle = kind == "oracle" and o.get("check") == "grid"
+        grid_oracle = o.get("check") == "grid"
     if kind in ("pretrain", "finetune", "guide", "conditional") or grid_oracle:
         base = _named("base", _validate_base, cfg)
         schedule = _named("schedule", _validate_schedule, cfg)
@@ -92,7 +93,7 @@ def validate_config(cfg: dict) -> None:
         ft.check_reward(reward)
         rollin_switch(ft.rollin, schedule.n_steps)
     if kind == "guide":
-        g = cfg.get("guide", {})
+        g = _section(cfg, "guide")
         estimator = g.get("estimator")
         if estimator not in ESTIMATORS:
             raise ConfigError(f"guide.estimator: expected one of {ESTIMATORS}")
@@ -112,23 +113,25 @@ def validate_config(cfg: dict) -> None:
         if estimator == "softq" and _num("guide.inner_draws", g.get("inner_draws", 64), int) < 2:
             raise ConfigError("guide.inner_draws: need at least 2 inner draws")
     if grid_oracle:
-        grid = o.get("grid", {})
+        grid = _section(cfg, "oracle.grid")
         if _num("oracle.grid.n", grid.get("n", 0), int) < 11:
             raise ConfigError("oracle.grid.n: need at least 11 nodes")
         if not _num("oracle.grid.hi", grid.get("hi", 0)) > _num("oracle.grid.lo", grid.get("lo", 0)):
             raise ConfigError("oracle.grid: hi must exceed lo")
     if kind == "conditional":
-        c = cfg.get("conditional", {})
+        c = _section(cfg, "conditional")
         if not 0 <= _num("conditional.label", c.get("label", -1), int) < base.n_components:
             raise ConfigError("conditional.label: outside the mixture's components")
         if c.get("method", "value-weighted") != "value-weighted":
             rollin_switch(_named("finetune", build_finetune_config, cfg).rollin, schedule.n_steps)
     if kind == "eval":
-        e = cfg.get("eval", {})
+        e = _section(cfg, "eval")
         if "samples_a" not in e:
             raise ConfigError("eval.samples_a: a sample CSV path is required")
-        if "samples_b" not in e and "reference" not in e:
-            raise ConfigError("eval: need samples_b or an analytic reference")
+        if "samples_b" not in e:
+            if "reference" not in e:
+                raise ConfigError("eval: need samples_b or an analytic reference")
+            _section(cfg, "eval.reference")
         for key in ("samples_a", "samples_b"):
             if key in e and not Path(str(e[key])).is_file():
                 raise ConfigError(f"eval.{key}: no sample file at {e[key]!r}")
@@ -149,6 +152,16 @@ def _named(section: str, fn, *args):
         if isinstance(exc, ConfigError) and str(exc).startswith(section):
             raise
         raise ConfigError(f"{section}: {exc}") from None
+
+
+def _section(cfg: dict, path: str) -> dict:
+    """The mapping at the dotted ``path``, empty when absent; anything but a mapping is a ConfigError."""
+    node = cfg
+    for key in path.split("."):
+        node = node.get(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path}: expected a mapping")
+    return node
 
 
 def _num(key: str, value, cast=float):

@@ -9,7 +9,8 @@ t-independent normalizing constant, preserved posteriors) hold to
 machine precision and can be asserted at 1e-10.
 
 Everything runs in log space; exp(r/alpha) with small alpha never
-materializes unshifted.
+materializes unshifted. The log-sum-exp is the module's own numpy one, so
+the oracle imports no scipy.
 """
 
 from __future__ import annotations
@@ -17,13 +18,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..diffusion.policy import PolicyNet, reverse_mean
 from ..errors import ConfigError, ContractError, CoverageError
 from ..rewards import RewardSpec, eval_reward
 
 BOUNDARY_MASS_TOL = 1e-4
+
+
+def logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) along ``axis``, shifted by the max so nothing overflows.
+
+    A non-finite max counts as 0, so a slice of all -inf gives -inf
+    without a warning.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = np.where(np.isfinite(a_max), a_max, 0.0)
+    # One buffer for the shift and the exp: on (n, n) rows a second fresh
+    # temporary costs more than the exp itself.
+    shifted = np.subtract(a, a_max, out=np.empty_like(a))
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(shifted, axis=axis, keepdims=keepdims))
+    if not keepdims:
+        a_max = np.squeeze(a_max, axis=axis)
+    return out + a_max
 
 
 @dataclass(frozen=True)
@@ -134,7 +154,7 @@ def grid_build(
         rho = reverse_mean(policy, x_col, t)[:, 0]  # (n,)
         log_k = logw[None, :] - 0.5 * (grid[None, :] - rho[:, None]) ** 2 / s.rev_var
         trans[t - 1] = np.exp(log_k - logsumexp(log_k, axis=1, keepdims=True))
-    trans = trans / trans.sum(axis=2, keepdims=True)
+    trans /= trans.sum(axis=2, keepdims=True)
 
     reward = eval_reward(reward_spec, grid.reshape(-1, 1))
     mdp = GridMDP(grid, w, init, trans, reward, float(alpha))
@@ -164,19 +184,17 @@ def grid_soft_solve(mdp: GridMDP) -> SoftSolution:
     exp(lv_{t-1}(j)) and the initial vector by exp(lv_T(j) - log C).
     """
     T, n, alpha = mdp.n_steps, mdp.n_states, mdp.alpha
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(mdp.trans)
-        log_init = np.log(mdp.init)
+    log_init = _safe_log(mdp.init)
 
     lv = np.empty((T + 1, n))
     lv[0] = mdp.reward / alpha
-    for t in range(1, T + 1):
-        lv[t] = logsumexp(log_trans[t - 1] + lv[t - 1][None, :], axis=1)
-    log_c = float(logsumexp(log_init + lv[T]))
-
     policy = np.empty_like(mdp.trans)
     for t in range(1, T + 1):
-        policy[t - 1] = np.exp(log_trans[t - 1] + lv[t - 1][None, :] - lv[t][:, None])
+        # One step's log kernel at a time: a whole log(trans) is (T, n, n).
+        scores = _safe_log(mdp.trans[t - 1]) + lv[t - 1][None, :]
+        lv[t] = logsumexp(scores, axis=1)
+        np.exp(scores - lv[t][:, None], out=policy[t - 1])
+    log_c = float(logsumexp(log_init + lv[T]))
     init_star = np.exp(log_init + lv[T] - log_c)
 
     marginals = np.empty((T + 1, n))
@@ -202,10 +220,8 @@ def _bellman_residuals(sol: SoftSolution) -> tuple[float, float]:
     lv = sol.values / mdp.alpha
     lv_max = float(lv.max())
     worst = worst_rel = 0.0
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(mdp.trans)
     for t in range(1, mdp.n_steps + 1):
-        rhs = logsumexp(log_trans[t - 1] + lv[t - 1][None, :], axis=1)
+        rhs = logsumexp(_safe_log(mdp.trans[t - 1]) + lv[t - 1][None, :], axis=1)
         gap = np.abs(np.expm1(rhs - lv[t]))
         worst = max(worst, float((np.exp(lv[t]) * gap).max()))
         worst_rel = max(worst_rel, float((np.exp(lv[t] - lv_max) * gap).max()))

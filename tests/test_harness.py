@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,13 @@ def _malformed_configs(tmp_path):
         return cfg
 
     mixture = {"kind": "mixture", "weights": [0.5, 0.5], "stds": [1.0, 1.0]}
+    grid_oracle = {"kind": "oracle", "seed": 0, "base": {"kind": "normal"},
+                   "schedule": {"steps": 3, "horizon": 1.5}, "policy": {"kind": "analytic"},
+                   "reward": {"kind": "linear", "a": [1.0]},
+                   "oracle": {"check": "grid", "alpha": 1.0, "steps": 3,
+                              "grid": {"lo": -7.0, "hi": 7.0, "n": 41}}}
+    samples = tmp_path / "samples.csv"
+    write_samples_csv(samples, np.zeros((100, 1)))
     return {
         "mixture-without-means": ("base", finetune(base=mixture)),
         "ragged-means": ("base", finetune(base={**mixture, "means": [[1.0], [2.0, 3.0]]})),
@@ -116,6 +127,17 @@ def _malformed_configs(tmp_path):
             "finetune": {"algorithm": "pcl", "rollin": "mixture:9", "iterations": 1}}),
         "eval-missing-samples": ("eval.samples_a", {
             "kind": "eval", "eval": {"samples_a": str(tmp_path / "missing.csv"), "reference": {}}}),
+        # Every section validate_config reads must be a mapping.
+        "guide-not-a-mapping": ("guide", {**guide("mc"), "guide": 5}),
+        "oracle-not-a-mapping": ("oracle", {**grid_oracle, "oracle": 5}),
+        "oracle-grid-not-a-mapping": ("oracle.grid", {
+            **grid_oracle, "oracle": {**grid_oracle["oracle"], "grid": 5}}),
+        "conditional-not-a-mapping": ("conditional", {
+            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
+            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"}, "conditional": 5}),
+        "eval-not-a-mapping": ("eval", {"kind": "eval", "eval": 5}),
+        "eval-reference-not-a-mapping": ("eval.reference", {
+            "kind": "eval", "eval": {"samples_a": str(samples), "reference": 5}}),
     }
 
 
@@ -125,6 +147,8 @@ def _malformed_configs(tmp_path):
     "affine-quadratic-reward", "affine-mixture-base",
     "path-integral-few-rollouts", "posterior-label-outside-base",
     "conditional-finetune-without-section", "conditional-rollin-above-steps", "eval-missing-samples",
+    "guide-not-a-mapping", "oracle-not-a-mapping", "oracle-grid-not-a-mapping",
+    "conditional-not-a-mapping", "eval-not-a-mapping", "eval-reference-not-a-mapping",
 ])
 def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
     section, cfg = _malformed_configs(tmp_path)[case]
@@ -132,6 +156,35 @@ def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
     assert run_experiment(cfg, out) == 2
     assert section in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_and_mala_runs_load_no_scipy(tmp_path):
+    # scipy serves only the 1-D sample metrics of eval runs: importing the
+    # packages and running a grid and a MALA oracle must not load any of it
+    # (checked in a fresh interpreter).
+    import tiltlab
+
+    src = str(Path(tiltlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    grid = {"kind": "oracle", "seed": 0, "base": {"kind": "normal"},
+            "schedule": {"steps": 3, "horizon": 1.5}, "policy": {"kind": "analytic"},
+            "reward": {"kind": "linear", "a": [1.0]},
+            "oracle": {"check": "grid", "alpha": 1.0, "steps": 3, "grid": {"lo": -7.0, "hi": 7.0, "n": 41}}}
+    mala = {"kind": "oracle", "seed": 0, "oracle": {"check": "mala", "alpha": 1.0, "samples": 2000}}
+    code = (
+        "import json, sys\n"
+        "import tiltlab.harness.runner, tiltlab.finetune, tiltlab.guidance, tiltlab.oracle\n"
+        "from tiltlab.harness import run_experiment\n"
+        "codes = [run_experiment(json.loads(cfg), out) for cfg, out in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))}))\n"
+    )
+    argv = [json.dumps(grid), str(tmp_path / "grid"), json.dumps(mala), str(tmp_path / "mala")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}
+    report = json.loads((tmp_path / "grid" / "oracle_report.jsonl").read_text())
+    assert report["theorem1_terminal_dev"] < 1e-10
 
 
 def test_numeric_failure_exit_code(tmp_path):
@@ -283,6 +336,9 @@ def test_eval_run_between_sample_files(tmp_path):
     assert run_experiment(cfg, out) == 0
     metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
     assert abs(metrics["w1"] - 1.0) < 0.15
+    # With samples_b given, a reference beside it is unused and not validated.
+    cfg["eval"]["reference"] = None
+    assert run_experiment(cfg, tmp_path / "e2") == 0
 
 
 def test_sweep_run(tmp_path):

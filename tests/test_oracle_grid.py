@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tiltlab.diffusion import GaussianMixture, PolicyNet, make_schedule
 from tiltlab.errors import ConfigError, ContractError, CoverageError
 from tiltlab.oracle import GridMDP, bellman_residual, grid_build, grid_soft_solve, verify_theorems
+from tiltlab.oracle.grid import logsumexp
 from tiltlab.rewards import LinearReward, QuadraticReward
 
 
@@ -175,3 +178,29 @@ def test_relative_figures_stay_exact_at_small_alpha():
     assert rep["bellman_residual_rel"] <= 1e-10
     scale = np.exp(sol.values / alpha).max()  # finite here, so the two routes compare
     assert rep["bellman_residual_rel"] == pytest.approx(rep["bellman_residual"] / scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 700.0, 2400.0])
+def test_logsumexp_matches_scipy(scale):
+    # 2400 is r / alpha at alpha = 0.01 on the benchmark's grid.
+    from scipy.special import logsumexp as reference
+
+    rng = np.random.default_rng(int(scale))
+    a = scale * rng.standard_normal((64, 401))
+    a[rng.random(a.shape) < 0.1] = -np.inf
+    for axis in (None, 0, 1):
+        for keepdims in (False, True):
+            got = logsumexp(a, axis=axis, keepdims=keepdims)
+            want = reference(a, axis=axis, keepdims=keepdims)
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+
+def test_logsumexp_all_minus_inf_row_is_minus_inf_without_warning():
+    a = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = logsumexp(a, axis=1)
+        whole = logsumexp(np.full(3, -np.inf))
+    assert abs(rows[0] - np.log(1.0 + np.e)) <= 1e-15
+    assert rows[1] == -np.inf and whole == -np.inf
