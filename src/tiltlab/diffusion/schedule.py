@@ -36,11 +36,6 @@ class DiffusionSchedule:
         """Perturbation scale with the near-zero floor applied; ``t`` is one step or one per row."""
         return np.maximum(self.sigma_pert[t], self.sigma_floor)
 
-    @property
-    def clamped_steps(self) -> list[int]:
-        """Step indices (1..T) whose sigma_pert sits below the floor."""
-        return [t for t in range(1, self.n_steps + 1) if self.sigma_pert[t] < self.sigma_floor]
-
     def time_features(self, t) -> np.ndarray:
         """Features handed to networks alongside the state: (t/T, sigma_pert[t])."""
         t = np.asarray(t, dtype=np.int64)

@@ -37,8 +37,7 @@ class FineTuneConfig:
     alpha: float = 1.0
     batch: int = 64            # m
     iterations: int = 100      # S
-    lr: float = 1e-3           # gamma (gamma_s: switches to lr_final at S/2 when set)
-    lr_final: float | None = None
+    lr: float = 1e-3           # gamma
     clip: float = 0.2          # PPO clip radius
     ppo_epochs: int = 1
     rollin: str = "current"    # current | pretrained | mixture:<k>
@@ -55,8 +54,6 @@ class FineTuneConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.lr_final is not None and self.lr_final <= 0.0:
-            raise ConfigError(f"final learning rate must be positive, got {self.lr_final}")
         if not 0.0 < self.clip < 1.0:
             raise ConfigError(f"clip radius must lie in (0, 1), got {self.clip}")
         if self.ppo_epochs < 1:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from ..autodiff import MlpModel, adam_init, init_mlp
@@ -54,18 +53,15 @@ def run_finetune(
     records: list[TrainLogRecord] = []
     for s in range(cfg.iterations):
         rng = make_rng(cfg.seed, BRANCH_ROLLOUT, s)
-        step_cfg = cfg
-        if cfg.lr_final is not None and s >= cfg.iterations // 2:
-            step_cfg = dataclasses.replace(cfg, lr=cfg.lr_final)
         if cfg.algorithm == "ppo":
-            policy, opt, rec = ppo_iteration(policy, pre_policy, reward_spec, step_cfg, rng, opt, s)
+            policy, opt, rec = ppo_iteration(policy, pre_policy, reward_spec, cfg, rng, opt, s)
         elif cfg.algorithm == "backprop":
-            policy, opt, rec = reward_backprop_iteration(policy, pre_policy, reward_spec, step_cfg, rng, opt, s)
+            policy, opt, rec = reward_backprop_iteration(policy, pre_policy, reward_spec, cfg, rng, opt, s)
         elif cfg.algorithm == "weighted-mle":
-            policy, opt, rec = reward_weighted_mle_iteration(policy, pre_policy, reward_spec, step_cfg, rng, opt, s)
+            policy, opt, rec = reward_weighted_mle_iteration(policy, pre_policy, reward_spec, cfg, rng, opt, s)
         elif cfg.algorithm == "pcl":
             policy, value, opt, opt_value, rec = pcl_iteration(
-                policy, pre_policy, value, reward_spec, step_cfg, rng, opt, opt_value, s
+                policy, pre_policy, value, reward_spec, cfg, rng, opt, opt_value, s
             )
         else:  # pragma: no cover - config validation rejects this earlier
             raise ContractError(f"unknown algorithm {cfg.algorithm}")

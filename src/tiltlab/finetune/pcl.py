@@ -11,10 +11,6 @@ the batch loss sum_t mean_i (one-step residual)^2, with both v_t and
 v_{t-1} live (v_0 is the reward, a constant) and the policy log densities
 frozen. It then takes one step for the policy parameters on the same loss,
 with the values frozen at their iteration-start snapshot.
-
-The same identity telescopes to k-step and whole-trajectory residuals,
-exposed below; at k = T with a learnable log-normalizer slot this is the
-trajectory-balance form.
 """
 
 from __future__ import annotations
@@ -37,40 +33,15 @@ from .config import FineTuneConfig, TrainLogRecord
 LOGP_GUARD = -1e8
 
 
-def k_step_residuals(values: np.ndarray, lp_cur: np.ndarray, lp_pre: np.ndarray,
-                     alpha: float, k: int) -> np.ndarray:
-    """Residuals of the k-step consistency identity.
+def one_step_residuals(values: np.ndarray, lp_cur: np.ndarray, lp_pre: np.ndarray,
+                       alpha: float) -> np.ndarray:
+    """Residuals (T, m) of the one-step balance identity.
 
     ``values`` is (T+1, m) with values[0] already equal to the reward;
-    lp_cur/lp_pre are (T, m). Row j of the output is the residual for the
-    sub-trajectory from x_{j+k} down to x_j; k = 1 gives per-step
-    residuals, k = T the whole-trajectory one.
+    lp_cur/lp_pre are (T, m). Row t-1 is the residual of the step from x_t
+    down to x_{t-1}.
     """
-    T = lp_cur.shape[0]
-    if not 1 <= k <= T:
-        raise ContractError(f"sub-trajectory length {k} outside [1, {T}]")
-    out = []
-    for top in range(k, T + 1):
-        span = slice(top - k, top)
-        out.append(values[top] / alpha + lp_cur[span].sum(axis=0)
-                   - values[top - k] / alpha - lp_pre[span].sum(axis=0))
-    return np.stack(out, axis=0)
-
-
-def trajectory_balance_residual(lp_cur: np.ndarray, lp_pre: np.ndarray, reward: np.ndarray,
-                                alpha: float, log_z: float,
-                                initial_log_ratio: np.ndarray | float = 0.0) -> np.ndarray:
-    """Whole-trajectory residual with a learnable log-normalizer slot.
-
-    log_z + [initial log ratio] + sum_t (log p_theta - log p_pre) - r(x_0)/alpha;
-    at the soft optimum this vanishes when log_z equals log of the
-    Theorem-2 constant and the initial-distribution log ratio is included.
-    """
-    if alpha <= 0.0:
-        raise ContractError("alpha must be positive")
-    return (log_z + np.asarray(initial_log_ratio)
-            + (np.asarray(lp_cur) - np.asarray(lp_pre)).sum(axis=0)
-            - np.asarray(reward) / alpha)
+    return values[1:] / alpha + lp_cur - values[:-1] / alpha - lp_pre
 
 
 def pcl_residual_arrays(policy, pre_policy, value: MlpModel, traj: Trajectory,
@@ -136,7 +107,7 @@ def pcl_iteration(
     values, lp_cur, lp_pre, kl = pcl_residual_arrays(policy, pre_policy, value, traj, reward_spec, alpha)
     if lp_cur.min() < LOGP_GUARD or lp_pre.min() < LOGP_GUARD:
         raise NumericError("transition log density below the -1e8 guard")
-    msr = float((k_step_residuals(values, lp_cur, lp_pre, alpha, 1) ** 2).mean())
+    msr = float((one_step_residuals(values, lp_cur, lp_pre, alpha) ** 2).mean())
 
     # Value step: v_t and v_{t-1} live (v_0 is the reward), log densities frozen.
     grads_v = pcl_value_gradient(value, s, traj, values[0], lp_cur, lp_pre, alpha)

@@ -1,4 +1,4 @@
-from .config import build_base, build_finetune_config, build_policy, build_reward, build_schedule, load_config, validate_config
+from .config import load_config, validate_config
 from .metrics import (
     MetricRecord,
     append_metrics,
@@ -15,7 +15,6 @@ from .plotdata import emit_plotdata
 from .cli import main
 
 __all__ = [
-    "build_base", "build_finetune_config", "build_policy", "build_reward", "build_schedule",
     "load_config", "validate_config",
     "MetricRecord", "append_metrics", "energy_dist", "energy_permutation_pvalue",
     "energy_statistic", "eval_metrics", "make_records", "read_metrics", "wasserstein1",

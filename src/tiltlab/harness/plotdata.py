@@ -17,9 +17,9 @@ import numpy as np
 import yaml
 
 from ..autodiff import evaluate, load_model
-from ..diffusion import gaussian_log_density
-from . import config as cfgmod
-from .runner import exact_target, read_samples_csv
+from ..diffusion import DiffusionSchedule, gaussian_log_density
+from .config import Run, validate_config
+from .runner import VALIDATION_ERRORS, read_samples_csv
 
 HIST_BINS = 60
 
@@ -35,15 +35,16 @@ def emit_plotdata(run_dir: str | Path) -> list[Path]:
         return written
     out.mkdir(parents=True, exist_ok=True)
 
+    read = _read_run(run)
     log = run / "train_log.jsonl"
     if log.exists():
         written.append(_emit_curves(log, out))
     samples = run / "samples.csv"
     if samples.exists():
-        written.append(_emit_histogram(run, samples, out))
+        written.append(_emit_histogram(None if read is None else read.target, samples, out))
     value_ckpt = run / "value_final.txt"
-    if value_ckpt.exists():
-        written.append(_emit_value_slices(run, value_ckpt, out))
+    if value_ckpt.exists() and read is not None:
+        written.append(_emit_value_slices(read.schedule, value_ckpt, out))
     metrics = run / "metrics.jsonl"
     if metrics.exists():
         written.append(_emit_metrics(metrics, out))
@@ -61,23 +62,25 @@ def _emit_curves(log: Path, out: Path) -> Path:
     return path
 
 
-def _analytic_overlay(run: Path) -> tuple[float, float] | None:
-    """(mean, var) of a 1-D run's exact target, or None without one."""
+def _read_run(run: Path) -> Run | None:
+    """The run's config.yaml as its run read it, or None (with a warning
+    when the copy exists) if it no longer reads."""
     cfg_file = run / "config.yaml"
     if not cfg_file.exists():
         return None
     try:
-        target = exact_target(yaml.safe_load(cfg_file.read_text()))
-    except Exception:
+        return validate_config(yaml.safe_load(cfg_file.read_text()))
+    except VALIDATION_ERRORS as exc:
+        warnings.warn(f"{cfg_file} no longer reads ({exc}); no target overlay or value slices")
         return None
-    if target is None or target[0].shape != (1,):
-        return None
-    return float(target[0][0]), float(target[1][0])
 
 
-def _emit_histogram(run: Path, samples_file: Path, out: Path) -> Path:
+def _emit_histogram(exact: tuple[np.ndarray, np.ndarray] | None, samples_file: Path, out: Path) -> Path:
+    """``exact`` is the run's exact target (:func:`.config.exact_target`), overlaid in 1-D."""
     samples = read_samples_csv(samples_file)
-    target = _analytic_overlay(run) if samples.shape[1] == 1 else None
+    target = None
+    if exact is not None and samples.shape[1] == 1:
+        target = float(exact[0][0]), float(exact[1][0])
     path = out / "histogram.csv"
     counts, edges = np.histogram(samples[:, 0], bins=HIST_BINS)
     widths = np.diff(edges)
@@ -97,9 +100,7 @@ def _emit_histogram(run: Path, samples_file: Path, out: Path) -> Path:
     return path
 
 
-def _emit_value_slices(run: Path, ckpt: Path, out: Path) -> Path:
-    cfg = yaml.safe_load((run / "config.yaml").read_text())
-    schedule = cfgmod.build_schedule(cfg)
+def _emit_value_slices(schedule: DiffusionSchedule, ckpt: Path, out: Path) -> Path:
     model = load_model(ckpt)
     xs = np.linspace(-4.0, 4.0, 81).reshape(-1, 1)
     path = out / "value_slices.csv"

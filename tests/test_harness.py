@@ -91,7 +91,21 @@ def _malformed_configs(tmp_path):
         cfg["guide"] = {"estimator": estimator, "samples": 10, **cfg.get("guide", {})}
         return cfg
 
+    def oracle(check, **keys):
+        return {"kind": "oracle", "seed": 0, "oracle": {"check": check, **keys}}
+
+    def conditional(method="value-weighted", **keys):
+        return {"kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
+                "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
+                "conditional": {"label": 1, "samples": 10, "method": method, **keys}}
+
+    def sweep(*names):
+        sub = oracle("two-state", steps=1)
+        return {"kind": "sweep", "seed": 0, "runs": [dict(sub, name=n) for n in names]}
+
     mixture = {"kind": "mixture", "weights": [0.5, 0.5], "stds": [1.0, 1.0]}
+    pretrain = {"kind": "pretrain", "seed": 0, "base": {"kind": "normal"},
+                "schedule": {"steps": 4, "horizon": 2.0}, "pretrain": {"steps": 5, "batch": 4}}
     grid_oracle = {"kind": "oracle", "seed": 0, "base": {"kind": "normal"},
                    "schedule": {"steps": 3, "horizon": 1.5}, "policy": {"kind": "analytic"},
                    "reward": {"kind": "linear", "a": [1.0]},
@@ -138,6 +152,37 @@ def _malformed_configs(tmp_path):
         "eval-not-a-mapping": ("eval", {"kind": "eval", "eval": 5}),
         "eval-reference-not-a-mapping": ("eval.reference", {
             "kind": "eval", "eval": {"samples_a": str(samples), "reference": 5}}),
+        # Every key a run kind uses is cast and range-checked before the run.
+        "eval-samples-not-a-number": ("eval_samples", finetune(eval_samples="x")),
+        "eval-samples-zero": ("eval_samples", finetune(eval_samples=0)),
+        "checkpoint-every-not-a-number": ("checkpoint_every", finetune(checkpoint_every="x")),
+        "dump-trajectories-negative": ("dump_trajectories", finetune(dump_trajectories=-1)),
+        "pretrain-steps-zero": ("pretrain.steps", {**pretrain, "pretrain": {"steps": 0}}),
+        "pretrain-lr-not-a-number": ("pretrain.lr", {**pretrain, "pretrain": {"lr": "x"}}),
+        "analytic-policy-hidden-not-widths": ("policy.hidden", finetune(
+            policy={"kind": "analytic", "hidden": "x"})),
+        "value-hidden-not-widths": ("finetune.value_hidden", finetune(
+            finetune={"algorithm": "pcl", "iterations": 1, "value_hidden": ["a"]})),
+        "lr-final-key": ("finetune", finetune(
+            finetune={"algorithm": "backprop", "iterations": 2, "lr_final": 0.001})),
+        "guide-samples-not-a-number": ("guide.samples", guide("zero", guide={"samples": "x"})),
+        "guide-samples-zero": ("guide.samples", guide("zero", guide={"samples": 0})),
+        "guide-fit-steps-not-a-number": ("guide.fit_steps", guide("mc", guide={"fit_steps": "x"})),
+        "mala-samples-not-a-number": ("oracle.samples", oracle("mala", samples="x")),
+        "mala-step-zero": ("oracle.step", oracle("mala", samples=100, step=0)),
+        "tilt-var-not-a-number": ("oracle.var", oracle("tilt", var="x")),
+        "two-state-steps-zero": ("oracle.steps", oracle("two-state", steps=0)),
+        "two-state-init-not-numbers": ("oracle.init", oracle("two-state", init="x")),
+        "grid-steps-not-a-number": ("oracle.steps", {
+            **grid_oracle, "oracle": {**grid_oracle["oracle"], "steps": "x"}}),
+        "conditional-alpha-zero": ("conditional.alpha", conditional(alpha=0)),
+        "conditional-samples-not-a-number": ("conditional.samples", conditional(samples="x")),
+        "eval-reference-var-not-a-number": ("eval.reference.var", {
+            "kind": "eval", "eval": {"samples_a": str(samples), "reference": {"var": "x"}}}),
+        "sweep-names-repeat": ("runs[1].name", sweep("same", "same")),
+        "sweep-name-escapes": ("runs[0].name", sweep("../escaped")),
+        "conditional-method-clashes-with-algorithm": ("conditional.method", {
+            **conditional("ppo"), "finetune": {"algorithm": "backprop", "iterations": 1}}),
     }
 
 
@@ -149,6 +194,14 @@ def _malformed_configs(tmp_path):
     "conditional-finetune-without-section", "conditional-rollin-above-steps", "eval-missing-samples",
     "guide-not-a-mapping", "oracle-not-a-mapping", "oracle-grid-not-a-mapping",
     "conditional-not-a-mapping", "eval-not-a-mapping", "eval-reference-not-a-mapping",
+    "eval-samples-not-a-number", "eval-samples-zero", "checkpoint-every-not-a-number",
+    "dump-trajectories-negative", "pretrain-steps-zero", "pretrain-lr-not-a-number",
+    "analytic-policy-hidden-not-widths", "value-hidden-not-widths", "lr-final-key",
+    "guide-samples-not-a-number", "guide-samples-zero", "guide-fit-steps-not-a-number",
+    "mala-samples-not-a-number", "mala-step-zero", "tilt-var-not-a-number", "two-state-steps-zero",
+    "two-state-init-not-numbers", "grid-steps-not-a-number", "conditional-alpha-zero",
+    "conditional-samples-not-a-number", "eval-reference-var-not-a-number",
+    "sweep-names-repeat", "sweep-name-escapes", "conditional-method-clashes-with-algorithm",
 ])
 def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
     section, cfg = _malformed_configs(tmp_path)[case]

@@ -3,14 +3,12 @@ import pytest
 
 from tiltlab.autodiff import MlpModel, init_mlp, zero_mlp
 from tiltlab.diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule, sample_trajectory
-from tiltlab.errors import ContractError
 from tiltlab.finetune import (
     FineTuneConfig,
-    k_step_residuals,
+    one_step_residuals,
     pcl_residual_arrays,
     pcl_value_gradient,
     run_finetune,
-    trajectory_balance_residual,
 )
 from tiltlab.oracle import grid_build, grid_soft_solve
 from tiltlab.rewards import LinearReward
@@ -39,7 +37,7 @@ def test_residual_vanishes_at_grid_optimum(analytic16):
     mdp = grid_build(analytic16, LinearReward([1.0]), 1.0, -7.0, 7.0, 31, n_steps=4)
     sol = grid_soft_solve(mdp)
     values, lp_star, lp_pre = _grid_trajectory_arrays(mdp, sol, make_rng(1))
-    res = k_step_residuals(values, lp_star, lp_pre, mdp.alpha, k=1)
+    res = one_step_residuals(values, lp_star, lp_pre, mdp.alpha)
     assert np.abs(res).max() < 1e-10
 
 
@@ -50,47 +48,16 @@ def test_residual_zero_for_trivial_configuration(analytic16):
     value = zero_mlp([3, 4, 1])
     values, lp_cur, lp_pre, _ = pcl_residual_arrays(analytic16, analytic16, value, traj,
                                                     LinearReward([0.0]), alpha=1.0)
-    res = k_step_residuals(values, lp_cur, lp_pre, 1.0, k=1)
+    res = one_step_residuals(values, lp_cur, lp_pre, 1.0)
     assert np.array_equal(res, np.zeros_like(res))
-
-
-def test_one_step_residuals_telescope_to_full_trajectory(residual16, analytic16):
-    rng = make_rng(3)
-    policy = residual16.with_params(
-        {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
-    )
-    traj = sample_trajectory(policy, make_rng(4), n=16)
-    from tiltlab.autodiff import init_mlp
-
-    value = init_mlp([3, 8, 1], make_rng(5))
-    values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, analytic16, value, traj,
-                                                    LinearReward([1.0]), alpha=0.7)
-    T = traj.n_steps
-    summed = k_step_residuals(values, lp_cur, lp_pre, 0.7, k=1).sum(axis=0)
-    whole = k_step_residuals(values, lp_cur, lp_pre, 0.7, k=T)[0]
-    assert np.abs(summed - whole).max() < 1e-10
-
-
-def test_k_step_range_contract():
-    values = np.zeros((5, 3))
-    lps = np.zeros((4, 3))
-    with pytest.raises(ContractError):
-        k_step_residuals(values, lps, lps, 1.0, k=0)
-    with pytest.raises(ContractError):
-        k_step_residuals(values, lps, lps, 1.0, k=5)
-
-
-def test_trajectory_balance_at_pretrained_equals_log_z(analytic16):
-    traj = sample_trajectory(analytic16, make_rng(6), n=8)
-    lp = traj.log_probs
-    res = trajectory_balance_residual(lp, lp, np.zeros(8), alpha=1.0, log_z=0.37)
-    assert np.allclose(res, 0.37, rtol=0, atol=1e-15)
 
 
 def test_trajectory_balance_on_grid_with_oracle_constant(analytic16):
     # With the soft-optimal chain, the reward at the bottom, the initial
     # reweighting ratio included, and log Z = log C from the DP, the
-    # whole-trajectory residual vanishes.
+    # whole-trajectory residual
+    #   log Z + log ratio at x_T + sum_t (log p* - log p_pre) - r(x_0)/alpha
+    # vanishes.
     mdp = grid_build(analytic16, LinearReward([1.0]), 1.0, -7.0, 7.0, 31, n_steps=4)
     sol = grid_soft_solve(mdp)
     rng = make_rng(7)
@@ -100,8 +67,7 @@ def test_trajectory_balance_on_grid_with_oracle_constant(analytic16):
     initial_ratio = np.log(sol.init_star[idx_T]) - np.log(mdp.init[idx_T])
     values, lp_star, lp_pre = _grid_trajectory_arrays_from_start(mdp, sol, idx_T, rng)
     reward = values[0]
-    res = trajectory_balance_residual(lp_star, lp_pre, reward, mdp.alpha,
-                                      log_z=sol.log_c, initial_log_ratio=initial_ratio)
+    res = sol.log_c + initial_ratio + (lp_star - lp_pre).sum(axis=0) - reward / mdp.alpha
     assert np.abs(res).max() < 1e-10
 
 
@@ -123,8 +89,8 @@ def _grid_trajectory_arrays_from_start(mdp, sol, idx_T, rng):
 
 def test_consistency_residual_formula():
     # values[0] = v_{t-1}, values[1] = v_t for one transition.
-    out = k_step_residuals(np.array([[0.5], [2.0]]), np.array([[-1.0]]), np.array([[-1.2]]),
-                           alpha=2.0, k=1)
+    out = one_step_residuals(np.array([[0.5], [2.0]]), np.array([[-1.0]]), np.array([[-1.2]]),
+                             alpha=2.0)
     assert np.allclose(out, 2.0 / 2.0 - 1.0 - 0.5 / 2.0 + 1.2)
 
 
@@ -145,7 +111,7 @@ def test_value_gradient_matches_finite_differences_of_batch_loss():
     def batch_loss(params):
         model = MlpModel(value.widths, value.activation, params)
         values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, model, traj, reward, alpha)
-        return (k_step_residuals(values, lp_cur, lp_pre, alpha, 1) ** 2).sum() / traj.batch
+        return (one_step_residuals(values, lp_cur, lp_pre, alpha) ** 2).sum() / traj.batch
 
     values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, value, traj, reward, alpha)
     grads = pcl_value_gradient(value, policy.schedule, traj, values[0], lp_cur, lp_pre, alpha)
