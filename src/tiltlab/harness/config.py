@@ -12,6 +12,7 @@ reproducible from the file alone.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,12 +214,30 @@ def _read_eval(run: Run, cfg: dict) -> None:
     for key, path in paths.items():
         if not path.is_file():
             raise ConfigError(f"eval.{key}: no sample file at {e.node[key]!r}")
+    dim = _sample_dim("eval.samples_a", paths["samples_a"])
+    if "samples_b" in paths and _sample_dim("eval.samples_b", paths["samples_b"]) != dim:
+        raise ConfigError(f"eval.samples_b: its dimension differs from samples_a's ({dim})")
     run.opts = SimpleNamespace(samples_a=paths["samples_a"], samples_b=paths.get("samples_b"))
     if "samples_b" not in paths:
         r = _Keys(cfg, "eval.reference")
         run.opts.reference = _tilted(r, 0.0, r.real("alpha", 1.0, positive=True))
+        if run.opts.reference.dim != dim:
+            raise ConfigError(f"eval.reference.mean: dimension {run.opts.reference.dim}, "
+                              f"the samples have {dim}")
     if "reward" in cfg:
-        _read_reward(run, cfg)
+        _read_reward(run, cfg, dim)
+
+
+def _sample_dim(key: str, path: Path) -> int:
+    """The dimension d a sample CSV declares by its header x0..x{d-1}."""
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), [])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if not header or header != [f"x{i}" for i in range(len(header))]:
+        raise ConfigError(f"{key}: header {header} is not x0..x{{d-1}}")
+    return len(header)
 
 
 def _read_sweep(run: Run, cfg: dict) -> None:
@@ -291,11 +310,14 @@ def _policy(cfg: dict, base: GaussianMixture, schedule: DiffusionSchedule, seed:
     return policy
 
 
-def _read_reward(run: Run, cfg: dict) -> None:
-    """The reward, evaluated at one zero row when the run has a base."""
+def _read_reward(run: Run, cfg: dict, dim: int | None = None) -> None:
+    """The reward, evaluated at one zero row of dimension ``dim``, by default
+    the base's; not evaluated when neither is known."""
     run.reward = _named("reward", _reward, cfg, run.base)
-    if run.base is not None:
-        _named("reward", eval_reward, run.reward, np.zeros((1, run.base.dim)))
+    if dim is None and run.base is not None:
+        dim = run.base.dim
+    if dim is not None:
+        _named("reward", eval_reward, run.reward, np.zeros((1, dim)))
 
 
 def _reward(cfg: dict, base: GaussianMixture | None):

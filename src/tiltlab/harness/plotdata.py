@@ -19,7 +19,7 @@ import yaml
 from ..autodiff import evaluate, load_model
 from ..diffusion import DiffusionSchedule, gaussian_log_density
 from .config import Run, validate_config
-from .runner import VALIDATION_ERRORS, read_samples_csv
+from .runner import VALIDATION_ERRORS, float_cells, read_samples_csv, write_csv
 
 HIST_BINS = 60
 
@@ -44,7 +44,7 @@ def emit_plotdata(run_dir: str | Path) -> list[Path]:
         written.append(_emit_histogram(None if read is None else read.target, samples, out))
     value_ckpt = run / "value_final.txt"
     if value_ckpt.exists() and read is not None:
-        written.append(_emit_value_slices(read.schedule, value_ckpt, out))
+        written.append(_emit_value_slices(read.schedule, read.policy.dim, value_ckpt, out))
     metrics = run / "metrics.jsonl"
     if metrics.exists():
         written.append(_emit_metrics(metrics, out))
@@ -100,17 +100,17 @@ def _emit_histogram(exact: tuple[np.ndarray, np.ndarray] | None, samples_file: P
     return path
 
 
-def _emit_value_slices(schedule: DiffusionSchedule, ckpt: Path, out: Path) -> Path:
+def _emit_value_slices(schedule: DiffusionSchedule, dim: int, ckpt: Path, out: Path) -> Path:
+    """v_t along x0 at every step, the other coordinates held at 0."""
     model = load_model(ckpt)
-    xs = np.linspace(-4.0, 4.0, 81).reshape(-1, 1)
+    xs = np.linspace(-4.0, 4.0, 81)
+    points = np.zeros((xs.size, dim))
+    points[:, 0] = xs
+    rows = schedule.n_steps + 1
+    values = [evaluate(model, schedule.net_input(points, t))[:, 0] for t in range(rows)]
     path = out / "value_slices.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "value"])
-        for t in range(schedule.n_steps + 1):
-            vals = evaluate(model, schedule.net_input(xs, t))[:, 0]
-            for x, v in zip(xs[:, 0], vals):
-                w.writerow([t, repr(float(x)), repr(float(v))])
+    write_csv(path, ["t", "x", "value"], [[str(t) for t in range(rows) for _ in xs],
+                                          float_cells(xs) * rows, float_cells(values)])
     return path
 
 

@@ -64,13 +64,39 @@ def _execute(run: Run, out: Path) -> int:
     return EXIT_OK
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one field of ``csv.writer``'s default dialect: quoted, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def float_cells(a) -> list[str]:
+    """``repr(float(v))`` of each entry of ``a``, in C order."""
+    return list(map(repr, np.asarray(a, dtype=np.float64).ravel().tolist()))
+
+
+def _csv_rows(columns: list[list[str]]) -> str:
+    """The rows of equal-length columns of formatted fields, as text.
+
+    The text is what ``csv.writer`` writes (``\r\n`` line ends) given the
+    same fields: numbers from :func:`float_cells` or ``str``, and text
+    through :func:`_csv_field`.
+    """
+    return "".join([",".join(row) + "\r\n" for row in zip(*columns)])
+
+
+def write_csv(path: Path, header: list[str], columns: list[list[str]]) -> None:
+    """Write ``header`` and the :func:`_csv_rows` of ``columns`` in one write."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + _csv_rows(columns))
+
+
 def write_samples_csv(path: Path, samples: np.ndarray) -> None:
     samples = np.atleast_2d(samples)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(samples.shape[1])])
-        for row in samples:
-            w.writerow([repr(float(v)) for v in row])
+    write_csv(path, [f"x{i}" for i in range(samples.shape[1])],
+              [float_cells(col) for col in samples.T])
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -80,13 +106,17 @@ def read_samples_csv(path) -> np.ndarray:
 
 
 def write_trajectories_csv(path: Path, run_id: str, traj) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run_id", "traj_id", "t", *[f"x{i}" for i in range(traj.dim)], "log_density"])
-        for i in range(traj.batch):
-            for t in range(traj.n_steps, -1, -1):
-                lp = "" if t == traj.n_steps else repr(float(traj.log_probs[t, i]))
-                w.writerow([run_id, i, t, *[repr(float(v)) for v in traj.states[t, i]], lp])
+    """One row per trajectory and step, t from T down to 0; x_T has no log density."""
+    m, T = traj.batch, traj.n_steps
+    states = traj.states[::-1].transpose(1, 0, 2)        # (m, T+1, d), t descending
+    log_probs = float_cells(traj.log_probs[::-1].T)      # m rows of t = T-1 .. 0
+    log_density = []
+    for i in range(m):
+        log_density += ["", *log_probs[i * T:(i + 1) * T]]
+    write_csv(path, ["run_id", "traj_id", "t", *[f"x{k}" for k in range(traj.dim)], "log_density"],
+              [[_csv_field(run_id)] * (m * (T + 1)), [str(i) for i in range(m) for _ in range(T + 1)],
+               [str(t) for t in range(T, -1, -1)] * m,
+               *[float_cells(states[:, :, k]) for k in range(traj.dim)], log_density])
 
 
 def _run_pretrain(run: Run, out: Path) -> None:
@@ -208,14 +238,15 @@ def _run_oracle(run: Run, out: Path) -> None:
 def _solve_and_dump(mdp: GridMDP, out: Path) -> dict:
     sol = grid_soft_solve(mdp)
     report = verify_theorems(sol)
+    n = mdp.n_states
+    states, xs = [str(j) for j in range(n)], float_cells(mdp.grid)
     with open(out / "solved_grid.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "state", "x", "value", "marginal", "pre_marginal", "constant"])
-        for t in range(mdp.n_steps + 1):
-            for j in range(mdp.n_states):
-                w.writerow([t, j, repr(float(mdp.grid[j])), repr(float(sol.values[t, j])),
-                            repr(float(sol.marginals[t, j])), repr(float(sol.pre_marginals[t, j])),
-                            repr(float(sol.constants[t]))])
+        fh.write("t,state,x,value,marginal,pre_marginal,constant\r\n")
+        # One block of rows per step, so the text never holds the whole grid.
+        for t, constant in enumerate(float_cells(sol.constants)):
+            fh.write(_csv_rows([[str(t)] * n, states, xs, float_cells(sol.values[t]),
+                                float_cells(sol.marginals[t]), float_cells(sol.pre_marginals[t]),
+                                [constant] * n]))
     return report
 
 

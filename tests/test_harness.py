@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -17,8 +18,11 @@ from tiltlab.harness import (
     run_experiment,
     write_samples_csv,
 )
-from tiltlab.diffusion import GaussianMixture, make_schedule
-from tiltlab.oracle import chain_stats
+from tiltlab.autodiff import evaluate, load_model
+from tiltlab.diffusion import GaussianMixture, Trajectory, make_schedule
+from tiltlab.harness.config import validate_config
+from tiltlab.harness.runner import _solve_and_dump, write_trajectories_csv
+from tiltlab.oracle import chain_stats, grid_soft_solve
 from tiltlab.rewards import FeedbackDataset
 from tiltlab.streams import make_rng
 
@@ -179,6 +183,12 @@ def _malformed_configs(tmp_path):
         "conditional-samples-not-a-number": ("conditional.samples", conditional(samples="x")),
         "eval-reference-var-not-a-number": ("eval.reference.var", {
             "kind": "eval", "eval": {"samples_a": str(samples), "reference": {"var": "x"}}}),
+        # The sample dimension is read from samples_a's header before the run.
+        "eval-reference-mean-wrong-dim": ("eval.reference.mean", {
+            "kind": "eval", "eval": {"samples_a": str(samples), "reference": {"mean": [0.0, 0.0]}}}),
+        "eval-reward-wrong-dim": ("reward", {
+            "kind": "eval", "eval": {"samples_a": str(samples), "reference": {}},
+            "reward": {"kind": "linear", "a": [1.0, 2.0]}}),
         "sweep-names-repeat": ("runs[1].name", sweep("same", "same")),
         "sweep-name-escapes": ("runs[0].name", sweep("../escaped")),
         "conditional-method-clashes-with-algorithm": ("conditional.method", {
@@ -201,6 +211,7 @@ def _malformed_configs(tmp_path):
     "mala-samples-not-a-number", "mala-step-zero", "tilt-var-not-a-number", "two-state-steps-zero",
     "two-state-init-not-numbers", "grid-steps-not-a-number", "conditional-alpha-zero",
     "conditional-samples-not-a-number", "eval-reference-var-not-a-number",
+    "eval-reference-mean-wrong-dim", "eval-reward-wrong-dim",
     "sweep-names-repeat", "sweep-name-escapes", "conditional-method-clashes-with-algorithm",
 ])
 def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
@@ -377,6 +388,50 @@ def test_csv_loaders_close_their_files(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def _csv_writer_reference(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def test_grid_dump_matches_csv_writer(tmp_path):
+    # The dump joins its lines itself; the bytes are csv.writer's with repr'd floats.
+    cfg = {"kind": "oracle", "seed": 0, "base": {"kind": "normal"},
+           "schedule": {"steps": 3, "horizon": 1.5}, "policy": {"kind": "analytic"},
+           "reward": {"kind": "linear", "a": [1.0]},
+           "oracle": {"check": "grid", "alpha": 1.0, "steps": 3, "grid": {"lo": -7.0, "hi": 7.0, "n": 41}}}
+    mdp = validate_config(cfg).opts.mdp
+    _solve_and_dump(mdp, tmp_path)
+    sol = grid_soft_solve(mdp)
+    rows = [[t, j, repr(float(mdp.grid[j])), repr(float(sol.values[t, j])), repr(float(sol.marginals[t, j])),
+             repr(float(sol.pre_marginals[t, j])), repr(float(sol.constants[t]))]
+            for t in range(mdp.n_steps + 1) for j in range(mdp.n_states)]
+    header = ["t", "state", "x", "value", "marginal", "pre_marginal", "constant"]
+    assert (tmp_path / "solved_grid.csv").read_bytes() == _csv_writer_reference(tmp_path / "ref.csv", header, rows)
+
+
+def test_sample_and_trajectory_dumps_match_csv_writer(tmp_path):
+    rng = make_rng(3)
+    samples = rng.standard_normal((5, 2))
+    samples[0] = [np.nan, -np.inf]
+    samples[1] = [-0.0, 1e-310]
+    write_samples_csv(tmp_path / "samples.csv", samples)
+    ref = _csv_writer_reference(tmp_path / "ref.csv", ["x0", "x1"],
+                                [[repr(float(v)) for v in row] for row in samples])
+    assert (tmp_path / "samples.csv").read_bytes() == ref
+
+    traj = Trajectory(rng.standard_normal((4, 3, 2)), np.zeros((3, 3, 2)), rng.standard_normal((3, 3)))
+    run_id = 'a,"b'  # a run id csv.writer must quote
+    write_trajectories_csv(tmp_path / "traj.csv", run_id, traj)
+    rows = [[run_id, i, t, *[repr(float(v)) for v in traj.states[t, i]],
+             "" if t == 3 else repr(float(traj.log_probs[t, i]))]
+            for i in range(3) for t in range(3, -1, -1)]
+    ref = _csv_writer_reference(tmp_path / "ref.csv", ["run_id", "traj_id", "t", "x0", "x1", "log_density"], rows)
+    assert (tmp_path / "traj.csv").read_bytes() == ref
+
+
 def test_eval_run_between_sample_files(tmp_path):
     rng = make_rng(7)
     from tiltlab.harness import write_samples_csv
@@ -431,6 +486,25 @@ def test_plotdata_emission(tmp_path):
     for r in rows:
         want = np.exp(-(float(r[0]) - mean) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
         assert abs(float(r[3]) - want) < 1e-10
+
+
+def test_plotdata_two_dim_pcl_run(tmp_path):
+    # The value slices run along x0 with the other coordinate held at 0.
+    cfg = tiny_finetune_cfg()
+    cfg["base"] = {"kind": "normal", "mean": [0.0, 0.0], "std": 1.0}
+    cfg["reward"] = {"kind": "linear", "a": [1.0, -0.5]}
+    cfg["finetune"] = {"algorithm": "pcl", "alpha": 1.0, "batch": 16, "iterations": 2,
+                       "lr": 0.003, "value_hidden": [8]}
+    out = tmp_path / "r"
+    assert run_experiment(cfg, out) == 0
+    assert main(["plotdata", "--out", str(out)]) == 0
+    slices = (out / "plotdata" / "value_slices.csv").read_text().splitlines()
+    assert slices[0] == "t,x,value"
+    assert len(slices) == 1 + 81 * (cfg["schedule"]["steps"] + 1)
+    t, x, value = slices[1 + 81 * 3].split(",")
+    point = make_schedule(8, 3.0).net_input(np.array([[float(x), 0.0]]), 3)
+    assert (t, x) == ("3", "-4.0")
+    assert float(value) == pytest.approx(evaluate(load_model(out / "value_final.txt"), point)[0, 0], rel=1e-12)
 
 
 def test_plotdata_empty_dir_warns(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
-from tiltlab.autodiff import param_distance
-from tiltlab.diffusion import sample_trajectory
-from tiltlab.finetune import FineTuneConfig, ppo_signals, ppo_surrogate_value, run_finetune
+from tiltlab.autodiff import adam_init, param_distance
+from tiltlab.diffusion import log_probs_under, means_under, sample_trajectory
+from tiltlab.finetune import FineTuneConfig, ppo_iteration, ppo_signals, ppo_surrogate_value, run_finetune
 from tiltlab.oracle import chain_stats
 from tiltlab.rewards import BlackBoxReward, LinearReward
 from tiltlab.streams import make_rng
@@ -27,8 +28,6 @@ def test_surrogate_equals_unclipped_inside_band(residual16, analytic16):
     traj = sample_trajectory(residual16, make_rng(3), n=32)
     signals, *_ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
 
-    from tiltlab.diffusion import log_probs_under
-
     ratios = np.exp(log_probs_under(perturbed, traj) - traj.log_probs)
     assert ratios.min() > 0.8 and ratios.max() < 1.2
     clipped = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=True)
@@ -46,6 +45,37 @@ def test_clip_engages_outside_band(residual16, analytic16):
     clipped = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=False)
     assert clipped != plain
+
+
+def test_later_epochs_engage_the_clip(residual16, analytic16):
+    # With ppo_epochs > 1 the live policy leaves the snapshot inside one
+    # iteration. The loss of the last of four epochs is taken at the
+    # parameters three epochs reach, where some ratios leave the clip band:
+    # it is the hand-computed clipped surrogate plus the pathwise KL term.
+    reward, clip, alpha, m = LinearReward([1.0]), 0.2, 0.5, 32
+
+    def iterate(epochs):
+        cfg = FineTuneConfig("ppo", alpha=alpha, batch=m, iterations=1, lr=1e-2, clip=clip,
+                             ppo_epochs=epochs)
+        return ppo_iteration(residual16, analytic16, reward, cfg, make_rng(7), adam_init(residual16.params))
+
+    moved = iterate(3)[0]
+    record = iterate(4)[2]
+    traj = sample_trajectory(residual16, make_rng(7), m)  # the iteration's own batch
+    signals, _, pre_means = ppo_signals(traj, analytic16, reward, alpha)
+    ratio = np.exp(log_probs_under(moved, traj) - traj.log_probs)
+    assert np.any(np.abs(ratio - 1.0) > clip)
+
+    hand = np.minimum(signals * ratio, signals * np.clip(ratio, 1.0 - clip, 1.0 + clip)).sum() / m
+    clipped = ppo_surrogate_value(moved, traj, signals, clip=clip, clipped=True)
+    plain = ppo_surrogate_value(moved, traj, signals, clip=clip, clipped=False)
+    assert clipped == pytest.approx(hand, rel=1e-12)
+    assert plain == pytest.approx((signals * ratio).sum() / m, rel=1e-12)
+    assert abs(clipped - plain) > 1e-3 * abs(plain)
+
+    kl = alpha * ((means_under(moved, traj.states[1:]) - pre_means) ** 2).sum() / (
+        2.0 * residual16.schedule.rev_var * m)
+    assert record.loss == pytest.approx(hand + kl, rel=1e-12)
 
 
 def test_reward_ascent_without_regularization(analytic16, residual16):
