@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..errors import CapabilityError, ConfigError
 from ..rewards import RewardSpec
@@ -82,6 +81,3 @@ class TrainLogRecord:
     loss: float
     grad_norm: float
     wall_time: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))

@@ -16,7 +16,7 @@ import sys
 from ..errors import NumericError
 from .config import RUN_KINDS, load_config
 from .plotdata import emit_plotdata
-from .runner import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, run_experiment
+from .runner import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, VALIDATION_ERRORS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +40,9 @@ def main(argv=None) -> int:
     if args.command == "plotdata":
         try:
             emit_plotdata(args.out)
+        except VALIDATION_ERRORS as exc:
+            print(f"plotdata failed: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         except NumericError as exc:
             print(f"numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -12,7 +12,6 @@ reproducible from the file alone.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +28,7 @@ from ..oracle import GridMDP, chain_stats, grid_build, tilted_gaussian_target
 from ..rewards import (
     BlackBoxReward, ClassifierReward, LearnedReward, LinearReward, QuadraticReward, eval_reward,
 )
+from ..runfiles import read_samples_csv
 from ..streams import BRANCH_INIT, make_rng
 
 RUN_KINDS = ("pretrain", "finetune", "guide", "oracle", "conditional", "eval", "sweep")
@@ -210,15 +210,13 @@ def _read_eval(run: Run, cfg: dict) -> None:
         raise ConfigError("eval.samples_a: a sample CSV path is required")
     if "samples_b" not in e.node and "reference" not in e.node:
         raise ConfigError("eval: need samples_b or an analytic reference")
-    paths = {key: Path(str(e.node[key])) for key in ("samples_a", "samples_b") if key in e.node}
-    for key, path in paths.items():
-        if not path.is_file():
-            raise ConfigError(f"eval.{key}: no sample file at {e.node[key]!r}")
-    dim = _sample_dim("eval.samples_a", paths["samples_a"])
-    if "samples_b" in paths and _sample_dim("eval.samples_b", paths["samples_b"]) != dim:
+    samples = {key: _named(f"eval.{key}", read_samples_csv, str(e.node[key]))
+               for key in ("samples_a", "samples_b") if key in e.node}
+    dim = samples["samples_a"].shape[1]
+    if "samples_b" in samples and samples["samples_b"].shape[1] != dim:
         raise ConfigError(f"eval.samples_b: its dimension differs from samples_a's ({dim})")
-    run.opts = SimpleNamespace(samples_a=paths["samples_a"], samples_b=paths.get("samples_b"))
-    if "samples_b" not in paths:
+    run.opts = SimpleNamespace(samples_a=samples["samples_a"], samples_b=samples.get("samples_b"))
+    if "samples_b" not in samples:
         r = _Keys(cfg, "eval.reference")
         run.opts.reference = _tilted(r, 0.0, r.real("alpha", 1.0, positive=True))
         if run.opts.reference.dim != dim:
@@ -226,18 +224,6 @@ def _read_eval(run: Run, cfg: dict) -> None:
                               f"the samples have {dim}")
     if "reward" in cfg:
         _read_reward(run, cfg, dim)
-
-
-def _sample_dim(key: str, path: Path) -> int:
-    """The dimension d a sample CSV declares by its header x0..x{d-1}."""
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), [])
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-    if not header or header != [f"x{i}" for i in range(len(header))]:
-        raise ConfigError(f"{key}: header {header} is not x0..x{{d-1}}")
-    return len(header)
 
 
 def _read_sweep(run: Run, cfg: dict) -> None:

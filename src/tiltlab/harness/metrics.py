@@ -10,16 +10,15 @@ against analytic references exactly when one is given.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..diffusion.base import GaussianMixture
 from ..errors import ContractError
 from ..oracle.tilt import TiltedGaussian
+from ..runfiles import write_jsonl
 
 PAIRWISE_CAP = 2048
 
@@ -143,9 +142,6 @@ class MetricRecord:
     n: int
     ts: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def make_records(run_id: str, metrics: dict, n: int | None = None) -> list[MetricRecord]:
     ts = time.time()
@@ -159,10 +155,4 @@ def make_records(run_id: str, metrics: dict, n: int | None = None) -> list[Metri
 
 def append_metrics(path, records: list[MetricRecord]) -> None:
     with open(path, "a") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
-
-
-def read_metrics(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    return [json.loads(line) for line in lines if line]
+        write_jsonl(fh, [asdict(rec) for rec in records])

@@ -8,8 +8,6 @@ value checkpoint exists, and a tidy copy of the metric records.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from pathlib import Path
 
@@ -18,8 +16,9 @@ import yaml
 
 from ..autodiff import evaluate, load_model
 from ..diffusion import DiffusionSchedule, gaussian_log_density
+from ..runfiles import cells, float_cells, read_jsonl, read_samples_csv, write_csv
 from .config import Run, validate_config
-from .runner import VALIDATION_ERRORS, float_cells, read_samples_csv, write_csv
+from .runner import VALIDATION_ERRORS
 
 HIST_BINS = 60
 
@@ -52,13 +51,13 @@ def emit_plotdata(run_dir: str | Path) -> list[Path]:
 
 
 def _emit_curves(log: Path, out: Path) -> Path:
-    rows = [json.loads(line) for line in log.read_text().splitlines() if line]
-    path = out / "training_curves.csv"
-    fields = list(rows[0].keys()) if rows else ["iteration"]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
+    rows = read_jsonl(log)
+    return _emit_table(rows, list(rows[0]) if rows else ["iteration"], out / "training_curves.csv")
+
+
+def _emit_table(rows: list[dict], fields: list[str], path: Path) -> Path:
+    """``rows`` as a table of ``fields``, as ``csv.DictWriter`` writes them."""
+    write_csv(path, fields, [[cells([row.get(f) for row in rows]) for f in fields]])
     return path
 
 
@@ -81,22 +80,17 @@ def _emit_histogram(exact: tuple[np.ndarray, np.ndarray] | None, samples_file: P
     target = None
     if exact is not None and samples.shape[1] == 1:
         target = float(exact[0][0]), float(exact[1][0])
-    path = out / "histogram.csv"
     counts, edges = np.histogram(samples[:, 0], bins=HIST_BINS)
     widths = np.diff(edges)
     density = counts / (counts.sum() * widths)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["bin_center", "bin_width", "density"]
-        if target is not None:
-            header.append("target_density")
-        w.writerow(header)
-        for i, c in enumerate(centers):
-            row = [repr(float(c)), repr(float(widths[i])), repr(float(density[i]))]
-            if target is not None:
-                row.append(repr(float(np.exp(gaussian_log_density(c, *target)))))
-            w.writerow(row)
+    header = ["bin_center", "bin_width", "density"]
+    columns = [float_cells(centers), float_cells(widths), float_cells(density)]
+    if target is not None:
+        header.append("target_density")
+        columns.append(float_cells(np.exp(gaussian_log_density(centers[:, None], *target))))
+    path = out / "histogram.csv"
+    write_csv(path, header, [columns])
     return path
 
 
@@ -109,16 +103,10 @@ def _emit_value_slices(schedule: DiffusionSchedule, dim: int, ckpt: Path, out: P
     rows = schedule.n_steps + 1
     values = [evaluate(model, schedule.net_input(points, t))[:, 0] for t in range(rows)]
     path = out / "value_slices.csv"
-    write_csv(path, ["t", "x", "value"], [[str(t) for t in range(rows) for _ in xs],
-                                          float_cells(xs) * rows, float_cells(values)])
+    write_csv(path, ["t", "x", "value"], [[[str(t) for t in range(rows) for _ in xs],
+                                           float_cells(xs) * rows, float_cells(values)]])
     return path
 
 
 def _emit_metrics(metrics: Path, out: Path) -> Path:
-    rows = [json.loads(line) for line in metrics.read_text().splitlines() if line]
-    path = out / "metrics_tidy.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["run_id", "metric", "value", "n", "ts"])
-        w.writeheader()
-        w.writerows(rows)
-    return path
+    return _emit_table(read_jsonl(metrics), ["run_id", "metric", "value", "n", "ts"], out / "metrics_tidy.csv")

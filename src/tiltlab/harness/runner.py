@@ -11,9 +11,8 @@ columns.
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from ..guidance import (
 )
 from ..oracle import GridMDP, chain_stats, grid_soft_solve, mala_sample, verify_theorems
 from ..rewards import eval_reward
+from ..runfiles import csv_field, float_cells, sample_header, write_csv, write_jsonl, write_samples_csv
 from ..streams import BRANCH_EVAL, BRANCH_FIT, BRANCH_MCMC, BRANCH_PRETRAIN, make_rng
 from .config import Run, validate_config
 from .metrics import append_metrics, eval_metrics, make_records
@@ -64,47 +64,6 @@ def _execute(run: Run, out: Path) -> int:
     return EXIT_OK
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one field of ``csv.writer``'s default dialect: quoted, with
-    inner quotes doubled, when it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def float_cells(a) -> list[str]:
-    """``repr(float(v))`` of each entry of ``a``, in C order."""
-    return list(map(repr, np.asarray(a, dtype=np.float64).ravel().tolist()))
-
-
-def _csv_rows(columns: list[list[str]]) -> str:
-    """The rows of equal-length columns of formatted fields, as text.
-
-    The text is what ``csv.writer`` writes (``\r\n`` line ends) given the
-    same fields: numbers from :func:`float_cells` or ``str``, and text
-    through :func:`_csv_field`.
-    """
-    return "".join([",".join(row) + "\r\n" for row in zip(*columns)])
-
-
-def write_csv(path: Path, header: list[str], columns: list[list[str]]) -> None:
-    """Write ``header`` and the :func:`_csv_rows` of ``columns`` in one write."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + _csv_rows(columns))
-
-
-def write_samples_csv(path: Path, samples: np.ndarray) -> None:
-    samples = np.atleast_2d(samples)
-    write_csv(path, [f"x{i}" for i in range(samples.shape[1])],
-              [float_cells(col) for col in samples.T])
-
-
-def read_samples_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(v) for v in row] for row in rows[1:]])
-
-
 def write_trajectories_csv(path: Path, run_id: str, traj) -> None:
     """One row per trajectory and step, t from T down to 0; x_T has no log density."""
     m, T = traj.batch, traj.n_steps
@@ -113,10 +72,10 @@ def write_trajectories_csv(path: Path, run_id: str, traj) -> None:
     log_density = []
     for i in range(m):
         log_density += ["", *log_probs[i * T:(i + 1) * T]]
-    write_csv(path, ["run_id", "traj_id", "t", *[f"x{k}" for k in range(traj.dim)], "log_density"],
-              [[_csv_field(run_id)] * (m * (T + 1)), [str(i) for i in range(m) for _ in range(T + 1)],
-               [str(t) for t in range(T, -1, -1)] * m,
-               *[float_cells(states[:, :, k]) for k in range(traj.dim)], log_density])
+    write_csv(path, ["run_id", "traj_id", "t", *sample_header(traj.dim), "log_density"],
+              [[[csv_field(run_id)] * (m * (T + 1)), [str(i) for i in range(m) for _ in range(T + 1)],
+                [str(t) for t in range(T, -1, -1)] * m,
+                *[float_cells(states[:, :, k]) for k in range(traj.dim)], log_density]])
 
 
 def _run_pretrain(run: Run, out: Path) -> None:
@@ -125,8 +84,7 @@ def _run_pretrain(run: Run, out: Path) -> None:
                                    hidden=o.hidden, steps=o.steps, batch=o.batch, lr=o.lr)
     save_model(out / "denoiser.txt", model)
     with open(out / "train_log.jsonl", "w") as fh:
-        for i, loss in enumerate(losses):
-            fh.write(json.dumps({"iteration": i, "loss": loss}) + "\n")
+        write_jsonl(fh, [{"iteration": i, "loss": loss} for i, loss in enumerate(losses)])
     tail = float(np.mean(losses[-100:]))
     append_metrics(out / "metrics.jsonl",
                    make_records(out.name, {"final_denoising_loss": tail}, n=len(losses)))
@@ -136,7 +94,7 @@ def _run_finetune(run: Run, out: Path) -> None:
     o = run.opts
     with open(out / "train_log.jsonl", "w") as log_fh:
         def callback(i, policy, rec):
-            log_fh.write(rec.to_json() + "\n")
+            write_jsonl(log_fh, [asdict(rec)])
             if o.checkpoint_every and (i + 1) % o.checkpoint_every == 0:
                 save_model(out / f"checkpoint_{i + 1:06d}.txt", policy.net)
 
@@ -199,7 +157,7 @@ def _run_guide(run: Run, out: Path) -> None:
                                           make_rng(run.seed, BRANCH_EVAL), o.samples)
     write_samples_csv(out / "samples.csv", samples)
     with open(out / "diagnostics.jsonl", "w") as fh:
-        fh.write(json.dumps({"estimator": o.estimator, **diag}) + "\n")
+        write_jsonl(fh, [{"estimator": o.estimator, **diag}])
     metrics = {"mean_reward": float(eval_reward(reward, samples).mean()),
                "max_shift_norm": diag["max_shift_norm"]}
     metrics.update(_target_metrics(run.target, samples))
@@ -231,7 +189,7 @@ def _run_oracle(run: Run, out: Path) -> None:
             "target_var": target.var,
         }
     with open(out / "oracle_report.jsonl", "w") as fh:
-        fh.write(json.dumps({"check": o.check, **report}) + "\n")
+        write_jsonl(fh, [{"check": o.check, **report}])
     append_metrics(out / "metrics.jsonl", make_records(out.name, report, n=0))
 
 
@@ -240,13 +198,11 @@ def _solve_and_dump(mdp: GridMDP, out: Path) -> dict:
     report = verify_theorems(sol)
     n = mdp.n_states
     states, xs = [str(j) for j in range(n)], float_cells(mdp.grid)
-    with open(out / "solved_grid.csv", "w", newline="") as fh:
-        fh.write("t,state,x,value,marginal,pre_marginal,constant\r\n")
-        # One block of rows per step, so the text never holds the whole grid.
-        for t, constant in enumerate(float_cells(sol.constants)):
-            fh.write(_csv_rows([[str(t)] * n, states, xs, float_cells(sol.values[t]),
-                                float_cells(sol.marginals[t]), float_cells(sol.pre_marginals[t]),
-                                [constant] * n]))
+    # One block of rows per step, so the text never holds the whole grid.
+    write_csv(out / "solved_grid.csv", ["t", "state", "x", "value", "marginal", "pre_marginal", "constant"],
+              ([[str(t)] * n, states, xs, float_cells(sol.values[t]), float_cells(sol.marginals[t]),
+                float_cells(sol.pre_marginals[t]), [constant] * n]
+               for t, constant in enumerate(float_cells(sol.constants))))
     return report
 
 
@@ -265,15 +221,15 @@ def _run_conditional(run: Run, out: Path) -> None:
 
 def _run_eval(run: Run, out: Path) -> None:
     o = run.opts
-    ref = o.reference if o.samples_b is None else read_samples_csv(o.samples_b)
-    metrics = eval_metrics(read_samples_csv(o.samples_a), ref, reward_spec=run.reward,
-                           rng=make_rng(run.seed, BRANCH_EVAL))
+    metrics = eval_metrics(o.samples_a, o.reference if o.samples_b is None else o.samples_b,
+                           reward_spec=run.reward, rng=make_rng(run.seed, BRANCH_EVAL))
     append_metrics(out / "metrics.jsonl", make_records(out.name, metrics))
 
 
 def _run_sweep(run: Run, out: Path) -> None:
     summary = [{"name": name, "exit_code": _execute(sub, out / name)} for name, sub in run.runs]
-    (out / "sweep_summary.jsonl").write_text("\n".join(json.dumps(s) for s in summary) + "\n")
+    with open(out / "sweep_summary.jsonl", "w") as fh:
+        write_jsonl(fh, summary)
     failed = [s for s in summary if s["exit_code"]]
     if failed:
         raise ConfigError(f"sweep sub-runs failed: {failed}")

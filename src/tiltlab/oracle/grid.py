@@ -37,6 +37,7 @@ from ..errors import ConfigError, ContractError, CoverageError
 from ..rewards import RewardSpec, eval_reward
 
 BOUNDARY_MASS_TOL = 1e-4
+LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))  # exp overflows above this
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -259,19 +260,22 @@ def _bellman_residuals(sol: SoftSolution) -> tuple[float, float]:
 
     Both come from one :func:`_bellman_rows` pass per step, the solver's
     own; the relative figure scales each term by exp(v_t/alpha - max v/alpha)
-    and so cannot overflow.
+    and so cannot overflow. Where exp(max v/alpha) does, the absolute
+    figure cannot be formed and reads inf.
     """
     mdp = sol.mdp
     lv = sol.values / mdp.alpha
     lv_max = float(lv.max())
-    worst = worst_rel = 0.0
+    overflow = lv_max > LOG_FLOAT_MAX
+    worst, worst_rel = np.inf if overflow else 0.0, 0.0
     buf = np.empty((mdp.n_states, mdp.n_states))
     for t in range(1, mdp.n_steps + 1):
         rhs, _ = _bellman_rows(buf, mdp.trans[t - 1], lv[t - 1])
         gap = np.abs(np.expm1(rhs - lv[t]))
-        worst = max(worst, float((np.exp(lv[t]) * gap).max()))
-        worst_rel = max(worst_rel, float((np.exp(lv[t] - lv_max) * gap).max()))
-    return worst, worst_rel
+        if not overflow:
+            worst = np.maximum(worst, (np.exp(lv[t]) * gap).max())
+        worst_rel = np.maximum(worst_rel, (np.exp(lv[t] - lv_max) * gap).max())
+    return float(worst), float(worst_rel)
 
 
 def bellman_residual(sol: SoftSolution) -> float:
@@ -285,21 +289,24 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
 
     The last two are exp(v/alpha) quantities, so they are also reported
     relative to the largest exp(v/alpha) on the grid (``*_rel``); at small
-    alpha only the relative figures stay near machine precision.
+    alpha only the relative figures stay near machine precision, and
+    where exp(v/alpha) overflows the absolute ones read inf. Theorem 2
+    compares marginals with exp(v_t/alpha - log C) p_pre_t, a probability
+    formed in log space. Theorem 3 compares posteriors only where both
+    joints, pre-trained and soft-optimal, exceed ``joint_mass_floor``.
     Thresholds are the caller's business; this only reports numbers.
     """
     mdp, alpha = sol.mdp, sol.mdp.alpha
     t1 = float(np.abs(sol.terminal - sol.tilted_target()).max())
 
-    c = np.exp(sol.log_c)
-    t2 = 0.0
-    for t in range(mdp.n_steps + 1):
-        predicted = np.exp(sol.values[t] / alpha) * sol.pre_marginals[t] / c
-        t2 = max(t2, float(np.abs(sol.marginals[t] - predicted).max()))
-    c_spread = float(sol.constants.max() - sol.constants.min())
     lv = sol.values / alpha
-    c_rel = np.exp(logsumexp(lv + _safe_log(sol.pre_marginals), axis=1) - lv.max())
+    lv_max = float(lv.max())
+    log_pre = _safe_log(sol.pre_marginals)
+    predicted = np.exp(lv + log_pre - sol.log_c)
+    t2 = float(np.abs(sol.marginals - predicted).max())
+    c_rel = np.exp(logsumexp(lv + log_pre, axis=1) - lv_max)
     c_spread_rel = float(c_rel.max() - c_rel.min())
+    c_spread = np.inf if lv_max > LOG_FLOAT_MAX else float(sol.constants.max() - sol.constants.min())
 
     t3 = 0.0
     n = mdp.n_states
@@ -309,11 +316,12 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
         np.multiply(sol.pre_marginals[t][:, None], mdp.trans[t - 1], out=post_pre)
         np.multiply(sol.marginals[t][:, None], sol.policy[t - 1], out=post_star)
         np.greater(post_pre, joint_mass_floor, out=mask)
+        np.greater(post_star, joint_mass_floor, out=mask, where=mask)
         post_pre /= np.maximum(post_pre.sum(axis=0), 1e-300)
         post_star /= np.maximum(post_star.sum(axis=0), 1e-300)
         post_star -= post_pre
         np.abs(post_star, out=post_star)
-        t3 = max(t3, float(np.max(post_star, where=mask, initial=0.0)))
+        t3 = np.maximum(t3, np.max(post_star, where=mask, initial=0.0))
 
     bellman, bellman_rel = _bellman_residuals(sol)
     return {
@@ -321,7 +329,7 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
         "theorem2_marginal_dev": t2,
         "theorem2_constant_spread": c_spread,
         "theorem2_constant_spread_rel": c_spread_rel,
-        "theorem3_posterior_dev": t3,
+        "theorem3_posterior_dev": float(t3),
         "bellman_residual": bellman,
         "bellman_residual_rel": bellman_rel,
     }

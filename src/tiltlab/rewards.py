@@ -10,7 +10,6 @@ downstream weighted losses.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +31,8 @@ from .autodiff import (
     zero_mlp,
 )
 from .diffusion.base import GaussianMixture
-from .errors import CapabilityError, ContractError, NumericError, ShapeError
+from .errors import CapabilityError, ConfigError, ContractError, NumericError, ShapeError
+from .runfiles import float_cells, read_table, sample_header, write_csv
 
 REWARD_BOUND = 1e6
 
@@ -211,17 +211,15 @@ class FeedbackDataset:
         return self.x.shape[0]
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{i}" for i in range(self.x.shape[1])] + ["r"])
-            for xi, ri in zip(self.x, self.r):
-                w.writerow([repr(float(v)) for v in xi] + [repr(float(ri))])
+        """Write the samples' columns x0..x{d-1}, then r."""
+        write_csv(path, [*sample_header(self.x.shape[1]), "r"],
+                  [[*(float_cells(col) for col in self.x.T), float_cells(self.r)]])
 
     @classmethod
     def load_csv(cls, path, provenance: str | None = None) -> "FeedbackDataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        header, data = read_table(path)
+        if len(header) < 2 or header != [*sample_header(len(header) - 1), "r"]:
+            raise ConfigError(f"line 1 of {path}: header {header} is not x0..x{{d-1}},r")
         return cls(data[:, :-1], data[:, -1], provenance or str(path))
 
 

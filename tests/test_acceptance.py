@@ -29,7 +29,7 @@ from tiltlab.guidance import (
     tweedie_posterior_mean,
     value_weighted_sample,
 )
-from tiltlab.harness import energy_dist, read_metrics, run_experiment, wasserstein1
+from tiltlab.harness import energy_dist, read_jsonl, run_experiment, wasserstein1
 from tiltlab.oracle import (
     chain_stats,
     grid_build,
@@ -312,7 +312,7 @@ def test_criterion_13_determinism(tmp_path):
         a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
         assert run_experiment(cfg, a) == 0
         assert run_experiment(cfg, b) == 0
-        va = [(r["metric"], r["value"], r["n"]) for r in read_metrics(a / "metrics.jsonl")]
-        vb = [(r["metric"], r["value"], r["n"]) for r in read_metrics(b / "metrics.jsonl")]
+        va = [(r["metric"], r["value"], r["n"]) for r in read_jsonl(a / "metrics.jsonl")]
+        vb = [(r["metric"], r["value"], r["n"]) for r in read_jsonl(b / "metrics.jsonl")]
         identical = identical and va == vb
     report(13, identical, "re-running each config with its seed reproduces every metric value")

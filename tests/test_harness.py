@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import yaml
 from tiltlab.harness import (
     emit_plotdata,
     main,
-    read_metrics,
+    read_jsonl,
     read_samples_csv,
     run_experiment,
     write_samples_csv,
@@ -23,7 +24,9 @@ from tiltlab.diffusion import GaussianMixture, Trajectory, make_schedule
 from tiltlab.harness.config import validate_config
 from tiltlab.harness.runner import _solve_and_dump, write_trajectories_csv
 from tiltlab.oracle import chain_stats, grid_soft_solve
+from tiltlab.errors import ConfigError
 from tiltlab.rewards import FeedbackDataset
+from tiltlab.runfiles import write_jsonl
 from tiltlab.streams import make_rng
 
 
@@ -81,6 +84,17 @@ def test_first_violated_constraint_is_named(tmp_path, capsys):
     assert "schedule.steps" in capsys.readouterr().err
 
 
+# Malformed sample files: (the line an error must name, the file's text).
+_BAD_SAMPLE_FILES = {
+    "non-numeric": (3, "x0\r\n1.0\r\nabc\r\n"),
+    "ragged": (3, "x0\r\n1.0\r\n2.0,3.0\r\n"),
+    "blank-inner-line": (3, "x0\r\n1.0\r\n\r\n2.0\r\n"),
+    "header-only": (2, "x0\r\n"),
+    "nan-row": (59, "x0\r\n" + "0.5\r\n" * 57 + "nan\r\n" + "0.5\r\n" * 142),
+    "inf-row": (200, "x0\r\n" + "0.5\r\n" * 198 + "-inf\r\n" + "0.5\r\n"),
+}
+
+
 def _malformed_configs(tmp_path):
     """Each case: (section the error must name, config)."""
     def finetune(**sections):
@@ -117,7 +131,19 @@ def _malformed_configs(tmp_path):
                               "grid": {"lo": -7.0, "hi": 7.0, "n": 41}}}
     samples = tmp_path / "samples.csv"
     write_samples_csv(samples, np.zeros((100, 1)))
+    bad_files = {}
+    for name, (line, body) in _BAD_SAMPLE_FILES.items():
+        bad_files[name] = line, tmp_path / f"{name}.csv"
+        bad_files[name][1].write_text(body)
     return {
+        # Each sample file is read in full before the run: the error names
+        # the key, the line and the file.
+        **{f"eval-samples-a-{name}": (f"eval.samples_a: line {line} of", {
+            "kind": "eval", "eval": {"samples_a": str(path), "reference": {}}})
+           for name, (line, path) in bad_files.items()},
+        **{f"eval-samples-b-{name}": (f"eval.samples_b: line {line} of", {
+            "kind": "eval", "eval": {"samples_a": str(samples), "samples_b": str(path)}})
+           for name, (line, path) in bad_files.items()},
         "mixture-without-means": ("base", finetune(base=mixture)),
         "ragged-means": ("base", finetune(base={**mixture, "means": [[1.0], [2.0, 3.0]]})),
         "reward-wider-than-base": ("reward", finetune(reward={"kind": "linear", "a": [1.0, 2.0]})),
@@ -213,6 +239,7 @@ def _malformed_configs(tmp_path):
     "conditional-samples-not-a-number", "eval-reference-var-not-a-number",
     "eval-reference-mean-wrong-dim", "eval-reward-wrong-dim",
     "sweep-names-repeat", "sweep-name-escapes", "conditional-method-clashes-with-algorithm",
+    *[f"eval-samples-{key}-{name}" for key in "ab" for name in _BAD_SAMPLE_FILES],
 ])
 def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
     section, cfg = _malformed_configs(tmp_path)[case]
@@ -260,6 +287,23 @@ def test_numeric_failure_exit_code(tmp_path):
 # -- runs --------------------------------------------------------------------
 
 
+def test_non_finite_report_value_exits_3_naming_file_and_key(tmp_path, capsys):
+    # At alpha = 0.01 exp(v/alpha) overflows on this grid: the absolute
+    # figures read inf, which no JSON-lines file takes.
+    cfg = {"kind": "oracle", "seed": 0,
+           "base": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-2.0], [2.0]], "stds": [1.0, 1.0]},
+           "schedule": {"steps": 8, "horizon": 6.0}, "policy": {"kind": "analytic"},
+           "reward": {"kind": "linear", "a": [1.0]},
+           "oracle": {"check": "grid", "alpha": 0.01, "grid": {"lo": -8.0, "hi": 8.0, "n": 41}}}
+    out = tmp_path / "r"
+    assert run_experiment(cfg, out) == 3
+    err = capsys.readouterr().err
+    assert "oracle_report.jsonl" in err and "theorem2_constant_spread=inf" in err
+    assert "bellman_residual=inf" in err
+    for path in out.glob("*.jsonl"):
+        assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+
+
 def test_two_state_oracle_run(tmp_path):
     cfg = {"kind": "oracle", "seed": 0, "oracle": {"check": "two-state", "alpha": 1.0, "steps": 1}}
     out = tmp_path / "oracle"
@@ -282,8 +326,8 @@ def test_finetune_run_artifacts_and_determinism(tmp_path):
 
     # metric values identical apart from the timestamp and run-identity columns
     drop = ("ts", "run_id")
-    ma = [{k: v for k, v in r.items() if k not in drop} for r in read_metrics(out_a / "metrics.jsonl")]
-    mb = [{k: v for k, v in r.items() if k not in drop} for r in read_metrics(out_b / "metrics.jsonl")]
+    ma = [{k: v for k, v in r.items() if k not in drop} for r in read_jsonl(out_a / "metrics.jsonl")]
+    mb = [{k: v for k, v in r.items() if k not in drop} for r in read_jsonl(out_b / "metrics.jsonl")]
     assert ma == mb
     # sample dumps byte-identical
     assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
@@ -346,7 +390,7 @@ def test_conditional_run_two_dim_counts_label_component(tmp_path):
     }
     out = tmp_path / "c"
     assert run_experiment(cfg, out) == 0
-    metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
+    metrics = {r["metric"]: r["value"] for r in read_jsonl(out / "metrics.jsonl")}
     assert metrics["fraction_correct_side"] > 0.9
     # The gap covers both coordinates of the label's component mean.
     samples = read_samples_csv(out / "samples.csv")
@@ -379,12 +423,23 @@ def test_finetune_log_closed_when_training_fails(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_loaders_close_their_files(tmp_path):
+    # The one CSV reader and the one JSON-lines reader, on good and bad files.
     write_samples_csv(tmp_path / "samples.csv", np.zeros((3, 2)))
     FeedbackDataset(np.zeros((3, 1)), np.zeros(3)).save_csv(tmp_path / "feedback.csv")
+    with open(tmp_path / "log.jsonl", "w") as fh:
+        write_jsonl(fh, [{"iteration": 0, "loss": 0.5}])
+    (tmp_path / "bad.csv").write_text("x0\nabc\n")
+    (tmp_path / "bad.jsonl").write_text("{}\nNaN\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         read_samples_csv(tmp_path / "samples.csv")
         FeedbackDataset.load_csv(tmp_path / "feedback.csv")
+        assert read_jsonl(tmp_path / "log.jsonl") == [{"iteration": 0, "loss": 0.5}]
+        for bad, reader in [("bad.csv", read_samples_csv), ("bad.csv", FeedbackDataset.load_csv),
+                            ("bad.jsonl", read_jsonl)]:
+            with pytest.raises(ConfigError, match="line 2 of"):
+                reader(tmp_path / bad)
+        gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
@@ -440,9 +495,11 @@ def test_eval_run_between_sample_files(tmp_path):
     write_samples_csv(a, rng.standard_normal((500, 1)))
     write_samples_csv(b, rng.standard_normal((500, 1)) + 1.0)
     cfg = {"kind": "eval", "seed": 0, "eval": {"samples_a": str(a), "samples_b": str(b)}}
+    opts = validate_config(cfg).opts  # the samples, read once at validation
+    assert opts.samples_a.shape == opts.samples_b.shape == (500, 1)
     out = tmp_path / "e"
     assert run_experiment(cfg, out) == 0
-    metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
+    metrics = {r["metric"]: r["value"] for r in read_jsonl(out / "metrics.jsonl")}
     assert abs(metrics["w1"] - 1.0) < 0.15
     # With samples_b given, a reference beside it is unused and not validated.
     cfg["eval"]["reference"] = None
@@ -507,6 +564,16 @@ def test_plotdata_two_dim_pcl_run(tmp_path):
     assert float(value) == pytest.approx(evaluate(load_model(out / "value_final.txt"), point)[0, 0], rel=1e-12)
 
 
+def test_plotdata_on_corrupted_samples_exits_2(tmp_path, capsys):
+    cfg = {"kind": "oracle", "seed": 0, "oracle": {"check": "mala", "alpha": 1.0, "samples": 200}}
+    out = tmp_path / "r"
+    assert run_experiment(cfg, out) == 0
+    (out / "samples.csv").write_text("x0\r\n0.5\r\nabc\r\n")
+    assert main(["plotdata", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3 of" in err and "samples.csv" in err
+
+
 def test_plotdata_empty_dir_warns(tmp_path):
     with pytest.warns(UserWarning):
         emit_plotdata(tmp_path / "nothing")
@@ -547,7 +614,7 @@ def test_two_dim_finetune_reports_gap_to_factorized_target(tmp_path):
     cfg["reward"] = {"kind": "linear", "a": [1.0, -0.5]}
     out = tmp_path / "r2"
     assert run_experiment(cfg, out) == 0
-    metrics = {r["metric"]: r["value"] for r in read_metrics(out / "metrics.jsonl")}
+    metrics = {r["metric"]: r["value"] for r in read_jsonl(out / "metrics.jsonl")}
     assert "target_mean" not in metrics and "target_var" not in metrics
 
     # Each coordinate is its own 1-D linear-Gaussian chain.

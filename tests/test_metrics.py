@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from tiltlab.errors import ContractError
+from tiltlab.errors import ContractError, NumericError
 from tiltlab.harness import (
     append_metrics,
     energy_dist,
     eval_metrics,
     make_records,
-    read_metrics,
+    read_jsonl,
     wasserstein1,
 )
 from tiltlab.oracle import tilted_gaussian_target
@@ -82,6 +82,14 @@ def test_metric_records_are_strict_jsonl(tmp_path):
     for line in lines:
         obj = json.loads(line)  # strict parser
         assert set(obj) == {"run_id", "metric", "value", "n", "ts"}
-    back = read_metrics(path)
+    back = read_jsonl(path)
     assert back[0]["metric"] == "mean_gap"  # sorted within a batch
     assert back[-1]["n"] == 7
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_metric_writer_refuses_non_finite_values(tmp_path, bad):
+    path = tmp_path / "metrics.jsonl"
+    with pytest.raises(NumericError, match=r"metrics\.jsonl: non-finite value=.*metric='w1'"):
+        append_metrics(path, make_records("run-x", {"mean_gap": 0.1, "w1": bad}))
+    assert path.read_text() == ""  # nothing of the batch is written
