@@ -120,6 +120,17 @@ def evaluate(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return h[0] if squeeze else h
 
 
+def has_zero_output(model: MlpModel) -> bool:
+    """True when the final layer's weight and bias are all exactly zero.
+
+    Wherever the hidden activations are finite such a net outputs exactly
+    zero and has a zero input Jacobian, so callers may skip it. Check it on
+    every call: training replaces the parameters every iteration.
+    """
+    last = model.n_layers - 1
+    return not (model.params[f"w{last}"].any() or model.params[f"b{last}"].any())
+
+
 def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Node]:
     return {name: tape.param(value) for name, value in params.items()}
 

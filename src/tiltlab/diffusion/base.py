@@ -91,3 +91,15 @@ class GaussianMixture:
         mu = schedule.mu_pert[t]
         var = mu**2 * self.variances + schedule.sigma_pert[t] ** 2
         return GaussianMixture(self.weights, mu * self.means, np.sqrt(var))
+
+    def marginal_table(self, schedule: DiffusionSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every step's marginal at once: log weights (K,), means (T+1, K, d)
+        and variances (T+1, K), row t bitwise equal to ``marginal_at(schedule, t)``.
+
+        The squares go through ``float_power`` (libm pow), as the scalar
+        ``**`` in ``marginal_at`` does; ``**`` on an array multiplies, which
+        can differ in the last bit.
+        """
+        mu = schedule.mu_pert[:, None]
+        var = np.float_power(mu, 2) * self.variances + np.float_power(schedule.sigma_pert[:, None], 2)
+        return self.log_weights, mu[:, :, None] * self.means, np.sqrt(var) ** 2

@@ -12,12 +12,12 @@ start at exactly zero, i.e. exactly at the pre-trained model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import gaussmix
-from ..autodiff import MlpModel, Node, Tape, copy_params, evaluate, forward_on_tape
+from ..autodiff import MlpModel, Node, Tape, copy_params, evaluate, forward_on_tape, has_zero_output
 from ..errors import ConfigError, ContractError, NumericError
 from .base import GaussianMixture
 from .schedule import DiffusionSchedule
@@ -43,13 +43,18 @@ def analytic_eps(base: GaussianMixture, schedule: DiffusionSchedule, x, t: int) 
     ``score_t`` is the score of the closed-form mixture marginal at step t;
     at t = 0 there is no injected noise and the result is zero.
     """
+    return _table_eps(base.marginal_table(schedule), schedule, x, t)
+
+
+def _table_eps(marginals, schedule: DiffusionSchedule, x, t: int) -> np.ndarray:
+    """:func:`analytic_eps` from a ``GaussianMixture.marginal_table``."""
     if not 0 <= t <= schedule.n_steps:
         raise IndexError(f"step {t} outside [0, {schedule.n_steps}]")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if t == 0:
         return np.zeros_like(x)
-    marg = base.marginal_at(schedule, t)
-    return -schedule.sigma_pert[t] * marg.score(x)
+    log_weights, means, variances = marginals
+    return -schedule.sigma_pert[t] * gaussmix.score(x, log_weights, means[t], variances[t])
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,15 @@ class PolicyNet:
     """Reverse policy: closed-form base part and/or a trainable network.
 
     The network input is (x, t/T, sigma_pert[t]); its output is added to
-    the analytic noise prediction when both parts are present.
+    the analytic noise prediction when both parts are present. A net whose
+    output layer is exactly zero adds exactly zero, so it is skipped.
+    ``marginals`` is the base's per-step marginal table, built once.
     """
 
     schedule: DiffusionSchedule
     base: GaussianMixture | None = None
     net: MlpModel | None = None
+    marginals: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base is None and self.net is None:
@@ -70,6 +78,8 @@ class PolicyNet:
         if self.base is not None and self.net is not None:
             if self.net.in_width != self.base.dim + 2 or self.net.out_width != self.base.dim:
                 raise ConfigError("residual net widths do not match the base dimension")
+        if self.base is not None:
+            object.__setattr__(self, "marginals", self.base.marginal_table(self.schedule))
 
     @property
     def dim(self) -> int:
@@ -91,9 +101,12 @@ class PolicyNet:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.zeros_like(x)
         if self.base is not None:
-            out = out + analytic_eps(self.base, self.schedule, x, t)
+            out = out + _table_eps(self.marginals, self.schedule, x, t)
         if self.net is not None:
-            out = out + evaluate(self.net, self.schedule.net_input(x, t))
+            if not has_zero_output(self.net):
+                out = out + evaluate(self.net, self.schedule.net_input(x, t))
+            elif not np.all(np.isfinite(x)):
+                raise NumericError("non-finite values in network forward pass")
         return out
 
 
@@ -234,9 +247,8 @@ def reverse_mean_on_tape(tape: Tape, policy: PolicyNet, param_nodes: dict[str, N
     s = policy.schedule
     parts = []
     if policy.base is not None:
-        marg = policy.base.marginal_at(s, t)
-        parts.append(tape.mixture_eps(x, marg.log_weights, marg.means,
-                                      marg.variances, float(s.sigma_pert[t])))
+        log_weights, means, variances = policy.marginals
+        parts.append(tape.mixture_eps(x, log_weights, means[t], variances[t], float(s.sigma_pert[t])))
     if policy.net is not None:
         parts.append(net_on_tape(tape, policy, param_nodes, x, t))
     eps = parts[0] if len(parts) == 1 else tape.add(*parts)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Node, Tape, bind_params
+from ..autodiff import Node, Tape, bind_params, has_zero_output
 from ..diffusion.policy import (
     PolicyNet,
     Trajectory,
@@ -75,7 +75,11 @@ def paired_means_on_tape(
     t: int,
 ) -> tuple[Node, Node]:
     """Record rho_theta(x, t) and rho_pre(x, t), sharing the analytic part
-    when both policies ride the same base."""
+    when both policies ride the same base.
+
+    The live net is always recorded (its output-layer gradient needs the
+    hidden activations); a pre-trained net with a zero output layer adds
+    exactly zero and is not."""
     s = policy.schedule
     share = policy.base is not None and policy.base is pre_policy.base
     if not share:
@@ -83,18 +87,20 @@ def paired_means_on_tape(
             reverse_mean_on_tape(tape, policy, param_nodes, x, t),
             reverse_mean_on_tape(tape, pre_policy, pre_nodes, x, t),
         )
-    marg = policy.base.marginal_at(s, t)
-    eps_base = tape.mixture_eps(x, marg.log_weights, marg.means, marg.variances, float(s.sigma_pert[t]))
+    log_weights, means, variances = policy.marginals
+    eps_base = tape.mixture_eps(x, log_weights, means[t], variances[t], float(s.sigma_pert[t]))
     drift = tape.scale(x, 1.0 + 0.5 * s.dt)
     coef = -s.dt / s.sigma_eff(t)
 
-    def with_net(nodes, pol):
-        if pol.net is None:
+    def with_net(nodes, pol, recorded):
+        if not recorded:
             return tape.add(drift, tape.scale(eps_base, coef))
         net_out = net_on_tape(tape, pol, nodes, x, t)
         return tape.add(drift, tape.scale(tape.add(eps_base, net_out), coef))
 
-    return with_net(param_nodes, policy), with_net(pre_nodes, pre_policy)
+    pre_recorded = pre_policy.net is not None and not has_zero_output(pre_policy.net)
+    return (with_net(param_nodes, policy, policy.net is not None),
+            with_net(pre_nodes, pre_policy, pre_recorded))
 
 
 def differentiable_rollout(

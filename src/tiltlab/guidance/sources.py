@@ -11,12 +11,12 @@ mixture-posterior sources are closed forms used as oracles.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import gaussmix
-from ..autodiff import input_gradient
+from ..autodiff import has_zero_output, input_gradient
 from ..diffusion.base import GaussianMixture
 from ..diffusion.policy import PolicyNet, reverse_mean
 from ..errors import ContractError
@@ -106,10 +106,10 @@ def _posterior_mean_jacobian(policy: PolicyNet, x: np.ndarray, t: int) -> np.nda
     eye = np.eye(d)[None, :, :]
     jac_eps = np.zeros((m, d, d))
     if policy.base is not None:
-        marg = policy.base.marginal_at(s, t)
-        _, hess = gaussmix.score_and_hessian(x, marg.log_weights, marg.means, marg.variances)
+        log_weights, means, variances = policy.marginals
+        _, hess = gaussmix.score_and_hessian(x, log_weights, means[t], variances[t])
         jac_eps += -sig * hess
-    if policy.net is not None:
+    if policy.net is not None and not has_zero_output(policy.net):
         jac_eps += _net_jacobian(policy, x, t)
     return (eye - sig * jac_eps) / mu
 
@@ -207,9 +207,13 @@ class MixturePosteriorShift:
     schedule: object
     label: int
     alpha: float = 1.0
+    marginals: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.marginals = self.base.marginal_table(self.schedule)
 
     def shift(self, x, t):
-        marg = self.base.marginal_at(self.schedule, t)
-        g = gaussmix.component_posterior_grad(np.atleast_2d(x), marg.log_weights,
-                                              marg.means, marg.variances, self.label)
+        log_weights, means, variances = self.marginals
+        g = gaussmix.component_posterior_grad(np.atleast_2d(x), log_weights,
+                                              means[t], variances[t], self.label)
         return (self.schedule.rev_var / self.alpha) * g

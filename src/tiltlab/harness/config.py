@@ -30,6 +30,7 @@ from ..rewards import (
 )
 from ..runfiles import read_samples_csv
 from ..streams import BRANCH_INIT, make_rng
+from .metrics import MIN_SAMPLES
 
 RUN_KINDS = ("pretrain", "finetune", "guide", "oracle", "conditional", "eval", "sweep")
 ESTIMATORS = ("mc", "softq", "tweedie", "path-integral", "affine", "posterior", "zero")
@@ -212,6 +213,9 @@ def _read_eval(run: Run, cfg: dict) -> None:
         raise ConfigError("eval: need samples_b or an analytic reference")
     samples = {key: _named(f"eval.{key}", read_samples_csv, str(e.node[key]))
                for key in ("samples_a", "samples_b") if key in e.node}
+    for key, rows in samples.items():
+        if rows.shape[0] < MIN_SAMPLES:
+            raise ConfigError(f"eval.{key}: need at least {MIN_SAMPLES} samples, got {rows.shape[0]}")
     dim = samples["samples_a"].shape[1]
     if "samples_b" in samples and samples["samples_b"].shape[1] != dim:
         raise ConfigError(f"eval.samples_b: its dimension differs from samples_a's ({dim})")

@@ -21,6 +21,8 @@ from ..oracle.tilt import TiltedGaussian
 from ..runfiles import write_jsonl
 
 PAIRWISE_CAP = 2048
+# Fewest rows a sample set (or a sample reference) may have.
+MIN_SAMPLES = 100
 
 
 def _as_samples(x) -> np.ndarray:
@@ -103,8 +105,8 @@ def eval_metrics(samples, reference, reward_spec=None, rng: np.random.Generator 
     mean reward of the samples.
     """
     samples = _as_samples(samples)
-    if samples.shape[0] < 100:
-        raise ContractError(f"need at least 100 samples, got {samples.shape[0]}")
+    if samples.shape[0] < MIN_SAMPLES:
+        raise ContractError(f"need at least {MIN_SAMPLES} samples, got {samples.shape[0]}")
     out: dict[str, float] = {"n": float(samples.shape[0])}
     if reward_spec is not None:
         from ..rewards import eval_reward
@@ -118,8 +120,9 @@ def eval_metrics(samples, reference, reward_spec=None, rng: np.random.Generator 
         ref_samples = reference.sample(rng, samples.shape[0]) if rng is not None else None
     else:
         ref_samples = _as_samples(reference)
-        if ref_samples.shape[0] < 100:
-            raise ContractError(f"need at least 100 reference samples, got {ref_samples.shape[0]}")
+        if ref_samples.shape[0] < MIN_SAMPLES:
+            raise ContractError(f"need at least {MIN_SAMPLES} reference samples, "
+                                f"got {ref_samples.shape[0]}")
         if ref_samples.shape[1] != samples.shape[1]:
             raise ContractError("reference dimension does not match the samples")
         ref_mean = ref_samples.mean(axis=0)

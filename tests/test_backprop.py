@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def test_kl_gradient_is_exactly_zero_at_pretrained(residual16, analytic16):
     grads = gradient(tape.sumall(kl), [nodes[k] for k in sorted(residual16.params)])
     for g in grads:
         assert np.array_equal(g, np.zeros_like(g))
+
+
+def test_zero_output_pre_policy_net_is_skipped_exactly(residual16):
+    # The pre-trained net adds exactly zero, so leaving it off the tape
+    # changes neither the record nor the updated parameters.
+    cfg = FineTuneConfig("backprop", alpha=1.0, batch=32, iterations=1, lr=1e-2)
+    live = residual16.with_params({k: v + 0.1 for k, v in residual16.params.items()})
+    runs = [reward_backprop_iteration(live, pre, LinearReward([1.0]), cfg, make_rng(3),
+                                      adam_init(live.params))
+            for pre in (residual16, replace(residual16, net=None))]
+    (pol_a, _, rec_a), (pol_b, _, rec_b) = runs
+    for field in ("mean_reward", "kl_estimate", "loss", "grad_norm"):
+        assert getattr(rec_a, field) == getattr(rec_b, field), field
+    for k in pol_a.params:
+        assert np.array_equal(pol_a.params[k], pol_b.params[k]), k
 
 
 def test_black_box_reward_rejected(residual16, analytic16):

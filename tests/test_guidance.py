@@ -1,16 +1,18 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tiltlab.autodiff import init_mlp
-from tiltlab.diffusion import GaussianMixture, PolicyNet, make_schedule, sample_trajectory
+from tiltlab.diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule, sample_trajectory
 from tiltlab.errors import ContractError
 from tiltlab.guidance import (
     GuidedPolicy,
+    TweedieShift,
     ZeroShift,
     affine_shift_from_chain,
     fit_value_mc,
@@ -105,6 +107,26 @@ def test_tweedie_grad_through_residual_net_matches_finite_differences(sched16):
             down = eval_reward(spec, tweedie_posterior_mean(policy, xs - e, t))
             want[:, j] = (up - down) / (2 * h)
         assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(want).max())
+
+
+def _zero_residual_2d(sched):
+    base = GaussianMixture(np.array([0.4, 0.6]), np.array([[-2.0, 1.0], [1.5, -0.5]]), np.array([1.0, 0.7]))
+    return add_residual_net(PolicyNet(sched, base=base), make_rng(22), hidden=(8, 8))
+
+
+def test_zero_output_net_is_skipped_exactly_in_guidance(sched16):
+    # Tweedie shifts and path-integral estimates of a zero-residual policy
+    # are bitwise those of its analytic part.
+    residual = _zero_residual_2d(sched16)
+    analytic = replace(residual, net=None)
+    spec = QuadraticReward(np.array([[-0.5, 0.2], [0.2, -0.3]]), np.array([1.0, -0.5]))
+    xs = make_rng(23).standard_normal((32, 2))
+    for t in (1, 5, 16):
+        assert np.array_equal(TweedieShift(residual, spec, 1.0).shift(xs, t),
+                              TweedieShift(analytic, spec, 1.0).shift(xs, t))
+        a = path_integral_grad(residual, spec, xs[0], t, 1.0, 256, make_rng(24))
+        b = path_integral_grad(analytic, spec, xs[0], t, 1.0, 256, make_rng(24))
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_tweedie_requires_differentiable_reward(analytic16):

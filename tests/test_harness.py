@@ -131,6 +131,8 @@ def _malformed_configs(tmp_path):
                               "grid": {"lo": -7.0, "hi": 7.0, "n": 41}}}
     samples = tmp_path / "samples.csv"
     write_samples_csv(samples, np.zeros((100, 1)))
+    few = tmp_path / "few.csv"
+    write_samples_csv(few, np.zeros((50, 1)))
     bad_files = {}
     for name, (line, body) in _BAD_SAMPLE_FILES.items():
         bad_files[name] = line, tmp_path / f"{name}.csv"
@@ -144,6 +146,10 @@ def _malformed_configs(tmp_path):
         **{f"eval-samples-b-{name}": (f"eval.samples_b: line {line} of", {
             "kind": "eval", "eval": {"samples_a": str(samples), "samples_b": str(path)}})
            for name, (line, path) in bad_files.items()},
+        "eval-samples-a-too-few": ("eval.samples_a: need at least 100", {
+            "kind": "eval", "eval": {"samples_a": str(few), "reference": {}}}),
+        "eval-samples-b-too-few": ("eval.samples_b: need at least 100", {
+            "kind": "eval", "eval": {"samples_a": str(samples), "samples_b": str(few)}}),
         "mixture-without-means": ("base", finetune(base=mixture)),
         "ragged-means": ("base", finetune(base={**mixture, "means": [[1.0], [2.0, 3.0]]})),
         "reward-wider-than-base": ("reward", finetune(reward={"kind": "linear", "a": [1.0, 2.0]})),
@@ -240,6 +246,7 @@ def _malformed_configs(tmp_path):
     "eval-reference-mean-wrong-dim", "eval-reward-wrong-dim",
     "sweep-names-repeat", "sweep-name-escapes", "conditional-method-clashes-with-algorithm",
     *[f"eval-samples-{key}-{name}" for key in "ab" for name in _BAD_SAMPLE_FILES],
+    "eval-samples-a-too-few", "eval-samples-b-too-few",
 ])
 def test_malformed_config_rejected_before_run_dir(tmp_path, capsys, case):
     section, cfg = _malformed_configs(tmp_path)[case]

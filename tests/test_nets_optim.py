@@ -11,6 +11,7 @@ from tiltlab.autodiff import (
     expected_param_count,
     forward_on_tape,
     gradient,
+    has_zero_output,
     init_mlp,
     load_model,
     load_params,
@@ -84,6 +85,10 @@ def test_residual_mlp_zero_output_but_live_interior():
     x = make_rng(8).standard_normal((5, 3))
     assert np.array_equal(evaluate(model, x), np.zeros((5, 2)))
     assert np.abs(model.params["w0"]).max() > 0.0
+    assert has_zero_output(model) and has_zero_output(zero_mlp([3, 8, 2]))
+    assert not has_zero_output(init_mlp([3, 8, 2], make_rng(9), "relu"))
+    model.params["b1"][1] = -1e-300
+    assert not has_zero_output(model)
 
 
 def test_mlp_gradient_vs_central_differences_spec_h():

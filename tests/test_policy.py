@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -228,6 +230,65 @@ def test_non_finite_shift_raises_with_step_index(analytic16):
     with pytest.raises(NumericError) as err:
         sample_trajectory(analytic16, make_rng(14), n=2, shift_source=BadSource())
     assert "step" in str(err.value)
+
+
+# -- the zero-output skip and the per-step marginal table -----------------------
+
+
+_SKIP_BASES = {
+    "std-normal": GaussianMixture.std_normal(1),
+    "two-modes": GaussianMixture(np.array([0.5, 0.5]), np.array([[-3.0], [3.0]]), np.array([1.0, 1.0])),
+    "two-modes-2d": GaussianMixture(np.array([0.4, 0.6]), np.array([[-2.0, 1.0], [2.0, -0.5]]),
+                                    np.array([0.7, 1.1])),
+}
+
+
+def _zero_residual(base):
+    return add_residual_net(PolicyNet(make_schedule(16, 6.0), base=base), make_rng(30),
+                            hidden=(24, 24))
+
+
+@pytest.mark.parametrize("name", sorted(_SKIP_BASES))
+def test_zero_output_net_is_skipped_exactly(name):
+    residual = _zero_residual(_SKIP_BASES[name])
+    analytic = replace(residual, net=None)
+    a = sample_trajectory(residual, make_rng(31), n=256)
+    b = sample_trajectory(analytic, make_rng(31), n=256)
+    for field in ("states", "means", "log_probs"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert np.array_equal(means_under(residual, a.states[1:]), means_under(analytic, a.states[1:]))
+
+
+def test_nonzero_output_weight_runs_the_net():
+    residual = _zero_residual(_SKIP_BASES["two-modes"])
+    params = {k: v.copy() for k, v in residual.params.items()}
+    params["w2"][0, 0] = 1e-12
+    nudged = residual.with_params(params)
+    states = sample_trajectory(residual, make_rng(32), n=64).states[1:]
+    assert not np.array_equal(means_under(nudged, states), means_under(residual, states))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_skipped_net_still_refuses_non_finite_input(bad):
+    residual = _zero_residual(_SKIP_BASES["std-normal"])
+    with pytest.raises(NumericError):
+        reverse_mean(residual, np.array([[0.5], [bad]]), 3)
+
+
+@pytest.mark.parametrize("steps", [1, 16, 58, 64])
+@pytest.mark.parametrize("name", sorted(_SKIP_BASES))
+def test_marginal_table_rows_equal_marginal_at(name, steps):
+    # T = 58 at horizon 8 is a schedule where squaring mu_pert by
+    # multiplication instead of pow() differs from marginal_at in the last bit.
+    base, s = _SKIP_BASES[name], make_schedule(steps, 8.0)
+    log_weights, means, variances = base.marginal_table(s)
+    assert means.shape == (steps + 1, base.n_components, base.dim)
+    for t in range(steps + 1):
+        marg = base.marginal_at(s, t)
+        assert np.array_equal(log_weights, marg.log_weights)
+        assert np.array_equal(means[t], marg.means), t
+        assert np.array_equal(variances[t], marg.variances), t
 
 
 # -- re-scoring stored states on the tape --------------------------------------
