@@ -99,15 +99,15 @@ class PolicyNet:
 
     def eps(self, x, t: int) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.zeros_like(x)
-        if self.base is not None:
-            out = out + _table_eps(self.marginals, self.schedule, x, t)
+        out = _table_eps(self.marginals, self.schedule, x, t) if self.base is not None else None
         if self.net is not None:
             if not has_zero_output(self.net):
-                out = out + evaluate(self.net, self.schedule.net_input(x, t))
+                net_out = evaluate(self.net, self.schedule.net_input(x, t))
+                out = net_out if out is None else out + net_out
             elif not np.all(np.isfinite(x)):
                 raise NumericError("non-finite values in network forward pass")
-        return out
+        # Nothing contributed: a net-only policy whose output layer is zero.
+        return np.zeros_like(x) if out is None else out
 
 
 def add_residual_net(policy: PolicyNet, rng: np.random.Generator | None = None,

@@ -50,6 +50,10 @@ def score(x, log_weights, means, variances):
     """Gradient of the mixture log density, shape (m, d)."""
     means = np.asarray(means, dtype=np.float64)
     x = _as_batch(x, means.shape[1])
+    if means.shape[0] == 1:
+        # One component: every responsibility is exactly 1.0, so the sum
+        # below is the single pull, bit for bit.
+        return (means[0] - x) / variances[0]
     gamma = responsibilities(x, log_weights, means, variances)  # (m, K)
     pulls = (means[None, :, :] - x[:, None, :]) / variances[None, :, None]  # (m, K, d)
     return (gamma[:, :, None] * pulls).sum(axis=1)
@@ -60,10 +64,17 @@ def score_and_hessian(x, log_weights, means, variances):
     means = np.asarray(means, dtype=np.float64)
     x = _as_batch(x, means.shape[1])
     d = means.shape[1]
+    eye = np.eye(d)
+    if means.shape[0] == 1:
+        # The general expression with every responsibility 1.0. Keep the
+        # outer product twice: s s^T - I/v - s s^T rounds p^2 - 1/v before
+        # it subtracts p^2, and a plain -I/v would differ in the last bit.
+        s = (means[0] - x) / variances[0]
+        outer = s[:, :, None] * s[:, None, :]
+        return s, outer - (1.0 / variances[0]) * eye - outer
     gamma = responsibilities(x, log_weights, means, variances)
     pulls = (means[None, :, :] - x[:, None, :]) / variances[None, :, None]
     s = (gamma[:, :, None] * pulls).sum(axis=1)
-    eye = np.eye(d)
     # H = sum_k gamma_k (g_k g_k^T - I/v_k) - s s^T
     outer = np.einsum("mki,mkj->mij", gamma[:, :, None] * pulls, pulls)
     trace_part = (gamma / variances[None, :]).sum(axis=1)

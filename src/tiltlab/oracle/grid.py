@@ -248,7 +248,10 @@ def grid_soft_solve(mdp: GridMDP) -> SoftSolution:
         marginals[t - 1] = marginals[t] @ policy[t - 1]
 
     pre_marginals = mdp.pre_marginals()
-    constants = np.exp(logsumexp(lv + _safe_log(pre_marginals), axis=1))
+    with np.errstate(over="ignore"):
+        # Where exp(v_t / alpha) exceeds float64 (small alpha) C_t is inf by
+        # design: verify_theorems reports the relative spread there.
+        constants = np.exp(logsumexp(lv + _safe_log(pre_marginals), axis=1))
 
     values = alpha * lv
     values[0] = mdp.reward.copy()

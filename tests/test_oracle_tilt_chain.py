@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from tiltlab.diffusion import PolicyNet, analytic_eps, make_schedule, sample_trajectory
+from tiltlab.diffusion import GaussianMixture, PolicyNet, analytic_eps, make_schedule, sample_trajectory
 from tiltlab.errors import ContractError
 from tiltlab.oracle import chain_stats, conditional_expected_noise, tilted_gaussian_target
 from tiltlab.streams import make_rng
@@ -76,6 +77,31 @@ def test_conditional_noise_matches_score_route(std_base, sched16):
         a = conditional_expected_noise(std_base, sched16, x, t)
         b = analytic_eps(std_base, sched16, x, t)
         assert np.abs(a - b).max() < 1e-12
+
+
+@st.composite
+def _far_tail_cases(draw):
+    d = draw(st.integers(1, 2))
+    mean = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+    base = GaussianMixture.single(mean, 10.0 ** draw(st.floats(-1.0, 0.5)))
+    steps = draw(st.integers(1, 64))
+    schedule = make_schedule(steps, draw(st.floats(1.0, 10.0)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
+    x = signs * 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 3.0), min_size=d, max_size=d)))
+    return base, schedule, draw(st.integers(1, steps)), x[None, :]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_far_tail_cases())
+def test_conditional_noise_matches_score_route_in_far_tails(case):
+    # |x| up to 1e3: both routes are affine in x, so they agree to rounding
+    # relative to the size of the terms they combine.
+    base, schedule, t, x = case
+    a = conditional_expected_noise(base, schedule, x, t)
+    b = analytic_eps(base, schedule, x, t)
+    mu, sig = schedule.mu_pert[t], schedule.sigma_pert[t]
+    scale = sig * (np.abs(x) + np.abs(mu * base.means[0])) / (mu**2 * base.variances[0] + sig**2)
+    assert np.all(np.abs(a - b) <= 1e-13 * scale), (a, b)
 
 
 def test_conditional_noise_requires_single_gaussian(two_modes, sched16):

@@ -18,7 +18,8 @@ from tiltlab.diffusion import (
     reverse_mean,
     sample_trajectory,
 )
-from tiltlab.autodiff import Tape, bind_params, gradient, init_mlp, zero_mlp
+from tiltlab import gaussmix
+from tiltlab.autodiff import Tape, bind_params, evaluate, gradient, init_mlp, zero_mlp
 from tiltlab.errors import ContractError, NumericError
 from tiltlab.harness import energy_permutation_pvalue
 from tiltlab.oracle import conditional_expected_noise
@@ -274,6 +275,60 @@ def test_skipped_net_still_refuses_non_finite_input(bad):
     residual = _zero_residual(_SKIP_BASES["std-normal"])
     with pytest.raises(NumericError):
         reverse_mean(residual, np.array([[0.5], [bad]]), 3)
+
+
+# -- the one-component closed form ---------------------------------------------
+
+
+def _mixture_score_and_hessian(x, log_weights, means, variances):
+    """The K-component formulas, written out from the responsibilities."""
+    gamma = gaussmix.responsibilities(x, log_weights, means, variances)
+    pulls = (means[None, :, :] - x[:, None, :]) / variances[None, :, None]
+    s = (gamma[:, :, None] * pulls).sum(axis=1)
+    outer = np.einsum("mki,mkj->mij", gamma[:, :, None] * pulls, pulls)
+    trace_part = (gamma / variances[None, :]).sum(axis=1)
+    eye = np.eye(x.shape[1])[None, :, :]
+    return s, outer - trace_part[:, None, None] * eye - np.einsum("mi,mj->mij", s, s)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_component_score_and_hessian_equal_the_mixture_formula(d):
+    rng = make_rng(40 + d)
+    for _ in range(50):
+        mean = rng.standard_normal((1, d)) * 10.0 ** rng.uniform(-3, 2)
+        var = np.array([10.0 ** rng.uniform(-3, 2)])
+        x = mean + rng.standard_normal((64, d)) * 10.0 ** rng.uniform(-6, 3, size=(64, 1))
+        x[0] = mean[0]
+        x[1] = 1e3 * np.sign(rng.standard_normal(d))
+        args = (x, np.zeros(1), mean, var)
+        want_s, want_h = _mixture_score_and_hessian(*args)
+        got_s, got_h = gaussmix.score_and_hessian(*args)
+        assert gaussmix.score(*args).tobytes() == want_s.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
+        assert got_h.tobytes() == want_h.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_component_reverse_mean_keeps_non_finite_rows_non_finite(d):
+    # The mixture formula turns a row with an infinite coordinate into NaN
+    # through its responsibilities; the closed form must not make it finite.
+    base = GaussianMixture.single(np.linspace(0.3, -0.4, d), 1.2)
+    policy = _perturbed(add_residual_net(PolicyNet(make_schedule(16, 6.0), base=base), make_rng(41),
+                                         hidden=(8,)), 0.3, 42)
+    x = make_rng(43).standard_normal((6, d))
+    x[1, 0], x[2, 0], x[3, -1] = np.inf, -np.inf, np.inf
+    s, t = policy.schedule, 5
+    log_weights, means, variances = policy.marginals
+    with np.errstate(invalid="ignore"):
+        score, _ = _mixture_score_and_hessian(x, log_weights, means[t], variances[t])
+        eps = -s.sigma_pert[t] * score + evaluate(policy.net, s.net_input(x, t))
+        want = x * (1.0 + 0.5 * s.dt) - (s.dt / s.sigma_eff(t)) * eps
+        got = reverse_mean(policy, x, t)
+    finite = np.isfinite(want).all(axis=1)
+    assert not finite[1:4].any()
+    assert not np.isfinite(got[~finite]).all(axis=1).any()
+    assert not np.isfinite(policy.eps(x, t)[~finite]).all(axis=1).any()
+    assert got[finite].tobytes() == want[finite].tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 16, 58, 64])
