@@ -77,9 +77,6 @@ class GaussianMixture:
     def log_density(self, x) -> np.ndarray:
         return gaussmix.logpdf(x, self.log_weights, self.means, self.variances)
 
-    def density(self, x) -> np.ndarray:
-        return np.exp(self.log_density(x))
-
     def score(self, x) -> np.ndarray:
         return gaussmix.score(x, self.log_weights, self.means, self.variances)
 

@@ -140,17 +140,16 @@ def reverse_mean(policy: PolicyNet, x, t: int) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """A batch of realized reverse chains with full bookkeeping.
+    """A batch of realized reverse chains: the states and the means drawn from.
 
-    states[t] is x_t for t = 0..T; means[t-1] and log_probs[t-1] belong
-    to the transition x_t -> x_{t-1}: means[t-1] is the mean the row was
-    drawn from (after any shift, under whichever policy generated the row)
-    and log_probs[t-1] the Gaussian log density of states[t-1] around it.
+    states[t] is x_t for t = 0..T; means[t-1] belongs to the transition
+    x_t -> x_{t-1}: it is the mean the row was drawn from (after any shift,
+    under whichever policy generated the row). The transition log densities
+    are ``gaussian_log_density(states[:-1], means, rev_var)``.
     """
 
-    states: np.ndarray     # (T+1, m, d)
-    means: np.ndarray      # (T, m, d)
-    log_probs: np.ndarray  # (T, m)
+    states: np.ndarray  # (T+1, m, d)
+    means: np.ndarray   # (T, m, d)
 
     @property
     def n_steps(self) -> int:
@@ -177,14 +176,14 @@ def sample_trajectory(
     pre_policy: PolicyNet | None = None,
     switch=0,
 ) -> Trajectory:
-    """Run the reverse chain from x_T ~ N(0, I) with log-density bookkeeping.
+    """Run the reverse chain from x_T ~ N(0, I), keeping every state and mean.
 
     ``shift_source`` (optional) adds a mean shift at every step without
     touching the policy; it must expose ``shift(x, t) -> (n, d)``.
 
     ``switch`` (one index, or one per row) composes a roll-in: a row runs
     ``policy`` at steps t > switch and ``pre_policy`` at t <= switch, and
-    its log densities are recorded under the policy that generated it.
+    its means are recorded under the policy that generated it.
     """
     s = policy.schedule
     T, d = s.n_steps, policy.dim
@@ -195,7 +194,6 @@ def sample_trajectory(
         raise ContractError("a switch above 0 needs a pre_policy")
     states = np.empty((T + 1, n, d))
     means = np.empty((T, n, d))
-    log_probs = np.empty((T, n))
     x = rng.standard_normal((n, d))
     states[T] = x
     for t in range(T, 0, -1):
@@ -213,10 +211,9 @@ def sample_trajectory(
         x = mu + s.rev_std * rng.standard_normal((n, d))
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite state at reverse step {t}")
-        log_probs[t - 1] = gaussian_log_density(x, mu, s.rev_var)
         means[t - 1] = mu
         states[t - 1] = x
-    return Trajectory(states, means, log_probs)
+    return Trajectory(states, means)
 
 
 def means_under(policy: PolicyNet, states: np.ndarray) -> np.ndarray:

@@ -125,7 +125,7 @@ def pcl_iteration(
 
     record = TrainLogRecord(
         iteration=iteration,
-        mean_reward=float(eval_reward(reward_spec, traj.terminal).mean()),
+        mean_reward=float(values[0].mean()),
         kl_estimate=float(kl.sum(axis=0).mean()),
         loss=msr,
         grad_norm=float(np.sqrt(norm_p**2 + sum((g * g).sum() for g in grads_v.values()))),

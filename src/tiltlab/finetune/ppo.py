@@ -28,32 +28,37 @@ import time
 import numpy as np
 
 from ..autodiff import AdamState, Node, Tape, descend
-from ..diffusion.policy import PolicyNet, Trajectory, means_on_tape, means_under, sample_trajectory
+from ..diffusion.policy import (
+    PolicyNet, Trajectory, gaussian_log_density, means_on_tape, means_under, sample_trajectory,
+)
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, step_kl_terms
 from .config import FineTuneConfig, TrainLogRecord
 
 
 def ppo_signals(traj: Trajectory, pre_policy: PolicyNet, reward_spec: RewardSpec,
-                alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(T, m) surrogate signal, constant in the live parameters, its (T, m) KL
-    terms and the (T, m, d) pre-trained means at the stored states.
+    terms, the (T, m, d) pre-trained means at the stored states and the (m,)
+    rewards of the terminal states (the batch's only reward query).
 
     The snapshot's means are read from ``traj``, so it must be the snapshot's
     own unshifted, unswitched sample."""
     r = eval_reward(reward_spec, traj.terminal)
     pre_means = means_under(pre_policy, traj.states[1:])
     kl = step_kl_terms(traj.means, pre_means, pre_policy.schedule.rev_var)
-    return -r[None, :] + alpha * (np.cumsum(kl, axis=0) - kl), kl, pre_means
+    return -r[None, :] + alpha * (np.cumsum(kl, axis=0) - kl), kl, pre_means, r
 
 
 def ppo_surrogate(tape: Tape, means: Node, traj: Trajectory, signals: np.ndarray,
                   rev_var: float, clip: float, clipped: bool = True) -> Node:
     """Record the (optionally unclipped) surrogate over ``means``, the live
-    policy's :func:`means_on_tape` at the stored states; returns the scalar node."""
+    policy's :func:`means_on_tape` at the stored states; returns the scalar node.
+    The ratio's denominator is the snapshot's density around ``traj.means``."""
     x_prev = tape.constant(traj.states[:-1].reshape(means.shape))
     lp_new = tape.gaussian_logpdf(x_prev, means, rev_var)
-    ratio = tape.exp(tape.sub(lp_new, tape.constant(traj.log_probs.reshape(-1))))
+    lp_old = gaussian_log_density(traj.states[:-1], traj.means, rev_var)
+    ratio = tape.exp(tape.sub(lp_new, tape.constant(lp_old.reshape(-1))))
     sig = tape.constant(signals.reshape(-1))
     term = tape.mul(sig, ratio)
     if clipped:
@@ -82,7 +87,7 @@ def ppo_iteration(
     t0 = time.perf_counter()
     snapshot = policy.snapshot()
     traj = sample_trajectory(snapshot, rng, cfg.batch)
-    signals, kl, pre_means = ppo_signals(traj, pre_policy, reward_spec, cfg.alpha)
+    signals, kl, pre_means, rewards = ppo_signals(traj, pre_policy, reward_spec, cfg.alpha)
     rev_var = policy.schedule.rev_var
     kl_scale = cfg.alpha / (2.0 * rev_var * cfg.batch)  # alpha * sum_{t,i} KL_t / m
 
@@ -102,7 +107,7 @@ def ppo_iteration(
 
     record = TrainLogRecord(
         iteration=iteration,
-        mean_reward=float(eval_reward(reward_spec, traj.terminal).mean()),
+        mean_reward=float(rewards.mean()),
         kl_estimate=float(kl.sum(axis=0).mean()),
         loss=loss_val,
         grad_norm=grad_norm,

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from ..autodiff import save_model
-from ..diffusion import sample_trajectory, train_denoiser
+from ..diffusion import gaussian_log_density, sample_trajectory, train_denoiser
 from ..errors import CapabilityError, ConfigError, ContractError, CoverageError, NumericError, ShapeError
 from ..finetune import run_finetune
 from ..guidance import (
@@ -64,14 +64,16 @@ def _execute(run: Run, out: Path) -> int:
     return EXIT_OK
 
 
-def write_trajectories_csv(path: Path, run_id: str, traj) -> None:
-    """One row per trajectory and step, t from T down to 0; x_T has no log density."""
+def write_trajectories_csv(path: Path, run_id: str, traj, rev_var: float) -> None:
+    """One row per trajectory and step, t from T down to 0; x_T has no log density.
+    Each other row's density is that of x_t around the mean it was drawn from."""
     m, T = traj.batch, traj.n_steps
     states = traj.states[::-1].transpose(1, 0, 2)        # (m, T+1, d), t descending
-    log_probs = float_cells(traj.log_probs[::-1].T)      # m rows of t = T-1 .. 0
+    densities = gaussian_log_density(traj.states[:-1], traj.means, rev_var)
+    cells = float_cells(densities[::-1].T)               # m rows of t = T-1 .. 0
     log_density = []
     for i in range(m):
-        log_density += ["", *log_probs[i * T:(i + 1) * T]]
+        log_density += ["", *cells[i * T:(i + 1) * T]]
     write_csv(path, ["run_id", "traj_id", "t", *sample_header(traj.dim), "log_density"],
               [[[csv_field(run_id)] * (m * (T + 1)), [str(i) for i in range(m) for _ in range(T + 1)],
                 [str(t) for t in range(T, -1, -1)] * m,
@@ -107,7 +109,8 @@ def _run_finetune(run: Run, out: Path) -> None:
     write_samples_csv(out / "samples.csv", traj.terminal)
     if o.dump_trajectories:
         small = sample_trajectory(result.policy, make_rng(run.seed, BRANCH_EVAL, 1), o.dump_trajectories)
-        write_trajectories_csv(out / "trajectories.csv", out.name, small)
+        write_trajectories_csv(out / "trajectories.csv", out.name, small,
+                               result.policy.schedule.rev_var)
 
     metrics = {"mean_reward": float(eval_reward(run.reward, traj.terminal).mean())}
     metrics.update(_target_metrics(run.target, traj.terminal))

@@ -29,8 +29,6 @@ class ChainStats:
     """
 
     schedule: DiffusionSchedule
-    base_mean: float
-    base_var: float
     slope: np.ndarray      # (T+1,), slope[0] unused
     shift: np.ndarray      # (T+1,)
     sens: np.ndarray       # (T+1,), sens[0] = 1
@@ -104,7 +102,7 @@ def chain_stats(
         marg_mean[t - 1] = slope[t] * marg_mean[t] + shift[t]
         marg_var[t - 1] = slope[t] ** 2 * marg_var[t] + schedule.rev_var
 
-    return ChainStats(schedule, m0, s0_sq, slope, shift, sens, marg_mean, marg_var)
+    return ChainStats(schedule, slope, shift, sens, marg_mean, marg_var)
 
 
 def conditional_expected_noise(base: GaussianMixture, schedule: DiffusionSchedule, x, t: int) -> np.ndarray:

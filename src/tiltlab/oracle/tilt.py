@@ -16,10 +16,6 @@ from ..errors import ContractError
 
 @dataclass(frozen=True)
 class TiltedGaussian:
-    base_mean: np.ndarray
-    base_var: float
-    slope: np.ndarray
-    alpha: float
     mean: np.ndarray
     var: float
 
@@ -36,9 +32,6 @@ class TiltedGaussian:
         quad = ((x - self.mean) ** 2).sum(axis=1) / (2.0 * self.var)
         return -0.5 * d * np.log(2.0 * np.pi * self.var) - quad
 
-    def density(self, x) -> np.ndarray:
-        return np.exp(self.log_density(x))
-
 
 def tilted_gaussian_target(mean, var: float, slope, alpha: float) -> TiltedGaussian:
     if alpha <= 0.0:
@@ -46,12 +39,5 @@ def tilted_gaussian_target(mean, var: float, slope, alpha: float) -> TiltedGauss
     if var <= 0.0:
         raise ContractError(f"variance must be positive, got {var}")
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    slope = np.broadcast_to(np.asarray(slope, dtype=np.float64), mean.shape).astype(np.float64)
-    return TiltedGaussian(
-        base_mean=mean,
-        base_var=float(var),
-        slope=slope,
-        alpha=float(alpha),
-        mean=mean + var * slope / alpha,
-        var=float(var),
-    )
+    slope = np.broadcast_to(np.asarray(slope, dtype=np.float64), mean.shape)
+    return TiltedGaussian(mean=mean + var * slope / alpha, var=float(var))

@@ -177,11 +177,18 @@ def test_criterion_07_estimator_cross_agreement(value_problem, fitted_values):
     sched, base, policy, cs = value_problem
     vm_mc, vm_sq = fitted_values
     xs = np.linspace(-1.5, 1.5, 17).reshape(-1, 1)  # central bulk of every marginal
-    gap = max(np.abs(vm_mc.value(xs, t) - vm_sq.value(xs, t)).max()
-              for t in range(1, sched.n_steps + 1))
+    steps = range(1, sched.n_steps + 1)
+    gap = max(np.abs(vm_mc.value(xs, t) - vm_sq.value(xs, t)).max() for t in steps)
+
+    def exact_err(vm, t):  # against the chain's exact soft value, affine in x
+        slope, intercept = cs.value_affine(t, 1.0, 1.0)
+        return np.abs(vm.value(xs, t) - (slope * xs[:, 0] + intercept)).max()
+
+    mc_err = max(exact_err(vm_mc, t) for t in steps)
+    sq_err = max(exact_err(vm_sq, t) for t in steps)
 
     tweedie_dev = 0.0
-    for t in range(1, sched.n_steps + 1):
+    for t in steps:
         mu, sg = sched.mu_pert[t], sched.sigma_pert[t]
         want = xs * mu / (mu**2 + sg**2)
         tweedie_dev = max(tweedie_dev, np.abs(tweedie_posterior_mean(policy, xs, t) - want).max())
@@ -192,8 +199,9 @@ def test_criterion_07_estimator_cross_agreement(value_problem, fitted_values):
                                 1.0, 100000, make_rng(66))
     pi_rel = abs(est[0] - exact) / abs(exact)
 
-    ok = gap < 0.1 and tweedie_dev < 1e-10 and pi_rel < 0.05
-    report(7, ok, f"mc-vs-softq gap {gap:.3f} (<0.1), tweedie dev {tweedie_dev:.1e} (<1e-10), "
+    ok = gap < 0.1 and mc_err < 0.1 and sq_err < 0.1 and tweedie_dev < 1e-10 and pi_rel < 0.05
+    report(7, ok, f"mc-vs-softq gap {gap:.3f} (<0.1), mc-vs-exact {mc_err:.3f} (<0.1), "
+                  f"softq-vs-exact {sq_err:.3f} (<0.1), tweedie dev {tweedie_dev:.1e} (<1e-10), "
                   f"path-integral rel err {pi_rel:.4f} (<0.05)")
 
 

@@ -20,7 +20,7 @@ from tiltlab.finetune import (
     run_finetune,
     stabilized_weights,
 )
-from tiltlab.rewards import LinearReward, eval_reward
+from tiltlab.rewards import BlackBoxReward, LinearReward, eval_reward
 from tiltlab.streams import make_rng
 
 
@@ -86,7 +86,7 @@ def test_ppo_and_pcl_kl_terms_match_kl_penalty(residual16, analytic16):
     assert want.min() > 0.0
 
     reward = LinearReward([1.0])
-    signals, kl, pre_means = ppo_signals(traj, analytic16, reward, alpha=0.5)
+    signals, kl, pre_means, _ = ppo_signals(traj, analytic16, reward, alpha=0.5)
     assert kl.shape == (traj.n_steps, traj.batch)
     assert np.array_equal(kl.sum(axis=0), want)
     # Step t's signal carries the KL of the later steps k < t, the ones its action moves.
@@ -130,8 +130,8 @@ def test_stabilized_weights_guards():
 
 def test_composed_rollout_switch_semantics(analytic16, residual16):
     # Above the switch the generator is the current policy; at and below it,
-    # the pre-trained one. Verify via the stored log densities, for one
-    # switch shared by the batch and for a switch per row.
+    # the pre-trained one. Verify via the log densities derived from the
+    # stored means, for one switch shared by the batch and for a switch per row.
     rng = make_rng(7)
     policy = residual16.with_params(
         {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
@@ -144,8 +144,8 @@ def test_composed_rollout_switch_semantics(analytic16, residual16):
             for t in {T, switch + 1, switch, 1} - {0, T + 1}:
                 gen, other = (policy, analytic16) if t > switch else (analytic16, policy)
                 mu = reverse_mean(gen, traj.states[t, row], t)
-                assert np.allclose(traj.log_probs[t - 1, row],
-                                   gaussian_log_density(traj.states[t - 1, row], mu[0], s.rev_var))
+                derived = gaussian_log_density(traj.states[t - 1, row], traj.means[t - 1, row], s.rev_var)
+                assert np.allclose(derived, gaussian_log_density(traj.states[t - 1, row], mu[0], s.rev_var))
                 # the stored mean is the generating policy's, not the other one's
                 assert np.allclose(traj.means[t - 1, row], mu[0], rtol=0, atol=1e-12)
                 assert not np.allclose(traj.means[t - 1, row],
@@ -200,3 +200,20 @@ def test_stored_state_loss_tapes_do_not_grow_with_steps(std_base, monkeypatch, a
     assert len(ops) == 2
     assert ops[0] == ops[1]
     assert "mixture_eps" not in ops[0]
+
+
+@pytest.mark.parametrize("algorithm", ["ppo", "pcl"])
+def test_each_iteration_queries_each_sample_once(residual16, algorithm):
+    # A black-box reward is the scarce resource: PPO and PCL read it once per
+    # sampled terminal state, and the record's mean reward is that read's mean.
+    batches = []
+
+    def count(x):
+        batches.append(x.copy())
+        return np.tanh(x[:, 0])
+
+    cfg = FineTuneConfig(algorithm, alpha=1.0, batch=32, iterations=2, value_hidden=(8,), seed=3)
+    result = run_finetune(residual16, BlackBoxReward(count), cfg)
+    assert [x.shape[0] for x in batches] == [cfg.batch] * cfg.iterations
+    for x, rec in zip(batches, result.records):
+        assert rec.mean_reward == float(np.tanh(x[:, 0]).mean())

@@ -20,7 +20,7 @@ from tiltlab.harness import (
     write_samples_csv,
 )
 from tiltlab.autodiff import evaluate, load_model
-from tiltlab.diffusion import GaussianMixture, Trajectory, make_schedule
+from tiltlab.diffusion import GaussianMixture, Trajectory, gaussian_log_density, make_schedule
 from tiltlab.harness.config import validate_config
 from tiltlab.harness.runner import _solve_and_dump, write_trajectories_csv
 from tiltlab.oracle import chain_stats, grid_soft_solve
@@ -484,11 +484,12 @@ def test_sample_and_trajectory_dumps_match_csv_writer(tmp_path):
                                 [[repr(float(v)) for v in row] for row in samples])
     assert (tmp_path / "samples.csv").read_bytes() == ref
 
-    traj = Trajectory(rng.standard_normal((4, 3, 2)), np.zeros((3, 3, 2)), rng.standard_normal((3, 3)))
+    traj = Trajectory(rng.standard_normal((4, 3, 2)), rng.standard_normal((3, 3, 2)))
     run_id = 'a,"b'  # a run id csv.writer must quote
-    write_trajectories_csv(tmp_path / "traj.csv", run_id, traj)
+    write_trajectories_csv(tmp_path / "traj.csv", run_id, traj, 0.3)
+    # x_t's density around the mean it was drawn from; x_T has none
     rows = [[run_id, i, t, *[repr(float(v)) for v in traj.states[t, i]],
-             "" if t == 3 else repr(float(traj.log_probs[t, i]))]
+             "" if t == 3 else repr(gaussian_log_density(traj.states[t, i], traj.means[t, i], 0.3))]
             for i in range(3) for t in range(3, -1, -1)]
     ref = _csv_writer_reference(tmp_path / "ref.csv", ["run_id", "traj_id", "t", "x0", "x1", "log_density"], rows)
     assert (tmp_path / "traj.csv").read_bytes() == ref

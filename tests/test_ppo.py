@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tiltlab.autodiff import adam_init, param_distance
-from tiltlab.diffusion import log_probs_under, means_under, sample_trajectory
+from tiltlab.diffusion import gaussian_log_density, log_probs_under, means_under, sample_trajectory
 from tiltlab.finetune import FineTuneConfig, ppo_iteration, ppo_signals, ppo_surrogate_value, run_finetune
 from tiltlab.oracle import chain_stats
 from tiltlab.rewards import BlackBoxReward, LinearReward
@@ -28,7 +28,8 @@ def test_surrogate_equals_unclipped_inside_band(residual16, analytic16):
     traj = sample_trajectory(residual16, make_rng(3), n=32)
     signals, *_ = ppo_signals(traj, analytic16, LinearReward([1.0]), alpha=0.5)
 
-    ratios = np.exp(log_probs_under(perturbed, traj) - traj.log_probs)
+    snapshot_lp = gaussian_log_density(traj.states[:-1], traj.means, residual16.schedule.rev_var)
+    ratios = np.exp(log_probs_under(perturbed, traj) - snapshot_lp)
     assert ratios.min() > 0.8 and ratios.max() < 1.2
     clipped = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=True)
     plain = ppo_surrogate_value(perturbed, traj, signals, clip=0.2, clipped=False)
@@ -62,8 +63,9 @@ def test_later_epochs_engage_the_clip(residual16, analytic16):
     moved = iterate(3)[0]
     record = iterate(4)[2]
     traj = sample_trajectory(residual16, make_rng(7), m)  # the iteration's own batch
-    signals, _, pre_means = ppo_signals(traj, analytic16, reward, alpha)
-    ratio = np.exp(log_probs_under(moved, traj) - traj.log_probs)
+    signals, _, pre_means, _ = ppo_signals(traj, analytic16, reward, alpha)
+    snapshot_lp = gaussian_log_density(traj.states[:-1], traj.means, residual16.schedule.rev_var)
+    ratio = np.exp(log_probs_under(moved, traj) - snapshot_lp)
     assert np.any(np.abs(ratio - 1.0) > clip)
 
     hand = np.minimum(signals * ratio, signals * np.clip(ratio, 1.0 - clip, 1.0 + clip)).sum() / m
