@@ -56,7 +56,9 @@ class GaussianMixture:
 
     @property
     def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
+        # A zero weight's log weight is -inf, which drops the component.
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights)
 
     @property
     def variances(self) -> np.ndarray:

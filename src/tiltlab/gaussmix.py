@@ -4,6 +4,23 @@ All routines work on batches ``x`` of shape (m, d). Components are
 isotropic: component k has mean ``means[k]`` (d,) and scalar variance
 ``variances[k]``. Everything is evaluated in log space with max-shifts so
 that small variances and far tails do not overflow.
+
+Layout: the routines work on K contiguous (m,) columns, one per component
+(``_columns``), not on an (m, K) or (m, K, d) array reduced along its
+short K axis. numpy runs one inner loop per output row for such a
+reduction, which made it most of the cost of a mixture score; an
+elementwise op on a whole column is one inner loop.
+
+Bitwise contract: for up to seven components every routine computes the
+same IEEE operations in the same order as the broadcast formulas, so its
+output is byte-equal to theirs (``tests/test_gaussmix.py`` writes them
+out). Sums over the components and over the coordinates run left to
+right, which is the order numpy's reductions over such short axes use;
+from eight terms on numpy sums pairwise, so with K >= 8 a result can
+differ from the broadcast form in the last bit. ``score_and_hessian``
+keeps its broadcast form for K >= 2: when d = 1, ``einsum``'s order of
+summation over k depends on m and K, and no single column formula
+matches it.
 """
 
 from __future__ import annotations
@@ -24,26 +41,43 @@ def _as_batch(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def component_logpdfs(x, log_weights, means, variances):
-    """Per-component weighted log densities, shape (m, K)."""
+def _columns(x, log_weights, means, variances):
+    """Per component k its weighted log-density column ``comps[k]`` (m,),
+    then the running max ``hi``, the shifted exps ``w[k] = exp(comps[k] - hi)``
+    and their total. Returns (comps, hi, w, total)."""
     means = np.asarray(means, dtype=np.float64)
     x = _as_batch(x, means.shape[1])
     d = means.shape[1]
-    sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)  # (m, K)
-    return log_weights[None, :] - 0.5 * d * (LOG_2PI + np.log(variances))[None, :] - 0.5 * sq / variances[None, :]
+    const = log_weights - 0.5 * d * (LOG_2PI + np.log(variances))
+    comps = []
+    for k in range(means.shape[0]):
+        sq = (x[:, 0] - means[k, 0]) ** 2
+        for i in range(1, d):
+            sq = sq + (x[:, i] - means[k, i]) ** 2
+        comps.append(const[k] - 0.5 * sq / variances[k])
+    hi = comps[0]
+    for c in comps[1:]:
+        hi = np.maximum(hi, c)
+    w = [np.exp(c - hi) for c in comps]
+    total = w[0]
+    for wk in w[1:]:
+        total = total + wk
+    return comps, hi, w, total
+
+
+def component_logpdfs(x, log_weights, means, variances):
+    """Per-component weighted log densities, shape (m, K)."""
+    return np.stack(_columns(x, log_weights, means, variances)[0], axis=1)
 
 
 def logpdf(x, log_weights, means, variances):
-    comp = component_logpdfs(x, log_weights, means, variances)
-    hi = comp.max(axis=1, keepdims=True)
-    return (hi + np.log(np.exp(comp - hi).sum(axis=1, keepdims=True)))[:, 0]
+    _, hi, _, total = _columns(x, log_weights, means, variances)
+    return hi + np.log(total)
 
 
 def responsibilities(x, log_weights, means, variances):
-    comp = component_logpdfs(x, log_weights, means, variances)
-    hi = comp.max(axis=1, keepdims=True)
-    w = np.exp(comp - hi)
-    return w / w.sum(axis=1, keepdims=True)
+    _, _, w, total = _columns(x, log_weights, means, variances)
+    return np.stack([wk / total for wk in w], axis=1)
 
 
 def score(x, log_weights, means, variances):
@@ -54,9 +88,11 @@ def score(x, log_weights, means, variances):
         # One component: every responsibility is exactly 1.0, so the sum
         # below is the single pull, bit for bit.
         return (means[0] - x) / variances[0]
-    gamma = responsibilities(x, log_weights, means, variances)  # (m, K)
-    pulls = (means[None, :, :] - x[:, None, :]) / variances[None, :, None]  # (m, K, d)
-    return (gamma[:, :, None] * pulls).sum(axis=1)
+    _, _, w, total = _columns(x, log_weights, means, variances)
+    s = (w[0] / total)[:, None] * ((means[0] - x) / variances[0])
+    for k in range(1, len(w)):
+        s = s + (w[k] / total)[:, None] * ((means[k] - x) / variances[k])
+    return s
 
 
 def score_and_hessian(x, log_weights, means, variances):
@@ -84,10 +120,8 @@ def score_and_hessian(x, log_weights, means, variances):
 
 def component_posterior_logprob(x, log_weights, means, variances, k):
     """log P(component = k | x), shape (m,)."""
-    comp = component_logpdfs(x, log_weights, means, variances)
-    hi = comp.max(axis=1, keepdims=True)
-    lse = (hi + np.log(np.exp(comp - hi).sum(axis=1, keepdims=True)))[:, 0]
-    return comp[:, k] - lse
+    comps, hi, _, total = _columns(x, log_weights, means, variances)
+    return comps[k] - (hi + np.log(total))
 
 
 def component_posterior_grad(x, log_weights, means, variances, k):

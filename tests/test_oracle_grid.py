@@ -192,16 +192,16 @@ def test_relative_figures_stay_exact_at_small_alpha():
 
 @st.composite
 def _grid_problems(draw):
-    """A 1-D grid problem on [-8, 8]: alpha log-uniform in [1e-2, 1e2], a 1- or
-    2-component base, a linear or concave-to-mildly-convex quadratic reward.
+    """A 1-D grid problem on [-8, 8]: alpha log-uniform in [1e-2, 1e2], a 1- to
+    3-component base, a linear or concave-to-mildly-convex quadratic reward.
     The horizon stays at most T (reverse variance at most 1), so the grid
     holds every pre-trained marginal."""
     alpha = 10.0 ** draw(st.floats(-2.0, 2.0))
     n, T = draw(st.integers(21, 61)), draw(st.integers(2, 8))
     horizon = draw(st.floats(1.0, min(6.0, float(T))))
-    k = draw(st.integers(1, 2))
-    w = draw(st.floats(0.2, 0.8))
-    base = GaussianMixture(np.array([1.0] if k == 1 else [w, 1.0 - w]),
+    k = draw(st.integers(1, 3))
+    w = np.array([draw(st.floats(0.2, 0.8)) for _ in range(k)])
+    base = GaussianMixture(w / w.sum(),
                            np.array([[draw(st.floats(-2.0, 2.0))] for _ in range(k)]),
                            np.array([draw(st.floats(0.3, 1.2)) for _ in range(k)]))
     if draw(st.booleans()):
