@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import ConfigError
 
-SIGMA_FLOOR_DEFAULT = 1e-4
+# Floor on the perturbation scale where it divides (sigma_pert[0] is 0).
+SIGMA_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class DiffusionSchedule:
     mu_pert: np.ndarray      # (n_steps+1,), index by step t = 0..T
     sigma_pert: np.ndarray   # (n_steps+1,)
     rev_var: float           # reverse-step variance sigma^2(t), constant in t
-    sigma_floor: float
 
     @property
     def rev_std(self) -> float:
@@ -34,7 +34,7 @@ class DiffusionSchedule:
 
     def sigma_eff(self, t):
         """Perturbation scale with the near-zero floor applied; ``t`` is one step or one per row."""
-        return np.maximum(self.sigma_pert[t], self.sigma_floor)
+        return np.maximum(self.sigma_pert[t], SIGMA_FLOOR)
 
     def time_features(self, t) -> np.ndarray:
         """Features handed to networks alongside the state: (t/T, sigma_pert[t])."""
@@ -51,7 +51,6 @@ def make_schedule(
     n_steps: int,
     horizon: float,
     rev_var: float | None = None,
-    sigma_floor: float = SIGMA_FLOOR_DEFAULT,
 ) -> DiffusionSchedule:
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
@@ -65,7 +64,7 @@ def make_schedule(
     times = np.arange(n_steps + 1) * dt
     mu = np.exp(-0.5 * times)
     sigma = np.sqrt(-np.expm1(-times))
-    sched = DiffusionSchedule(n_steps, float(horizon), dt, mu, sigma, float(rev_var), sigma_floor)
+    sched = DiffusionSchedule(n_steps, float(horizon), dt, mu, sigma, float(rev_var))
     _validate_tables(sched)
     return sched
 

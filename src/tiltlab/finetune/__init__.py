@@ -9,7 +9,7 @@ from .common import (
 from .ppo import ppo_iteration, ppo_signals, ppo_surrogate_value
 from .backprop import reward_backprop_iteration
 from .weighted_mle import collect_mle_tuples, reward_weighted_mle_iteration
-from .pcl import one_step_residuals, pcl_iteration, pcl_residual_arrays, pcl_value_gradient
+from .pcl import one_step_residuals, pcl_iteration, pcl_residual_arrays, pcl_value_loss
 from .driver import FineTuneResult, run_finetune
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "ppo_iteration", "ppo_signals", "ppo_surrogate_value",
     "reward_backprop_iteration",
     "collect_mle_tuples", "reward_weighted_mle_iteration",
-    "one_step_residuals", "pcl_iteration", "pcl_residual_arrays", "pcl_value_gradient",
+    "one_step_residuals", "pcl_iteration", "pcl_residual_arrays", "pcl_value_loss",
     "FineTuneResult", "run_finetune",
 ]

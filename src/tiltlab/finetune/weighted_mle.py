@@ -5,7 +5,9 @@ pre-trained policy the rest of the way; the (x_t, x_{t-1}, x_0) tuple is
 weighted by exp((r(x_0) - max r) / alpha) and the policy mean regresses
 onto x_{t-1} under squared error scaled by the reverse-step variance.
 The max shift rescales the loss by a positive constant, leaving the
-minimizer untouched while keeping the weights in (0, 1].
+minimizer untouched while keeping the weights in (0, 1]. The KL record
+compares the live means with the pre-trained means the roll-in drew each
+x_{t-1} from, so the pre-trained policy is never re-run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 import numpy as np
 
 from ..autodiff import AdamState, Tape, descend
-from ..diffusion.policy import PolicyNet, means_on_tape, means_under, sample_trajectory
+from ..diffusion.policy import PolicyNet, means_on_tape, sample_trajectory
 from ..errors import ContractError
 from ..rewards import RewardSpec, eval_reward
 from .common import bind_policy, stabilized_weights, step_kl_terms
@@ -29,7 +31,8 @@ def collect_mle_tuples(
     rng: np.random.Generator,
 ):
     """Per level t: x_t from the current-policy prefix, x_{t-1} and x_0 from
-    the pre-trained suffix. Returns (x_t, x_prev, x0) arrays of shape (T, m, d).
+    the pre-trained suffix, and the pre-trained mean x_{t-1} was drawn from.
+    Returns (x_t, x_prev, x0, pre_means) arrays of shape (T, m, d).
 
     All T levels run as one chain of T*m rows; rows (t-1)*m .. t*m - 1
     switch to the pre-trained policy at step t.
@@ -38,8 +41,9 @@ def collect_mle_tuples(
     traj = sample_trajectory(policy, rng, T * m, pre_policy=pre_policy,
                              switch=np.repeat(np.arange(1, T + 1), m))
     states = traj.states.reshape(T + 1, T, m, policy.dim)
+    means = traj.means.reshape(T, T, m, policy.dim)
     level = np.arange(T)
-    return states[level + 1, level], states[level, level], states[0]
+    return states[level + 1, level], states[level, level], states[0], means[level, level]
 
 
 def reward_weighted_mle_iteration(
@@ -55,7 +59,7 @@ def reward_weighted_mle_iteration(
         raise ContractError("weighted MLE requires alpha > 0")
     t0 = time.perf_counter()
     s = policy.schedule
-    x_t, x_prev, x0 = collect_mle_tuples(policy, pre_policy, cfg.batch, rng)
+    x_t, x_prev, x0, pre_means = collect_mle_tuples(policy, pre_policy, cfg.batch, rng)
     rewards = eval_reward(reward_spec, x0.reshape(-1, policy.dim)).reshape(s.n_steps, cfg.batch)
     weights = stabilized_weights(rewards, cfg.alpha)
 
@@ -65,7 +69,7 @@ def reward_weighted_mle_iteration(
     sq = tape.sum_cols(tape.square(tape.sub(tape.constant(x_prev.reshape(means.shape)), means)))
     loss = tape.scale(tape.sumall(tape.mul(tape.constant(weights.reshape(-1)), sq)),
                       1.0 / (cfg.batch * s.rev_var))
-    kl = step_kl_terms(means.value.reshape(x_t.shape), means_under(pre_policy, x_t), s.rev_var)
+    kl = step_kl_terms(means.value.reshape(x_t.shape), pre_means, s.rev_var)
     params, opt, grad_norm = descend(loss, nodes, policy.params, opt, cfg.lr)
 
     record = TrainLogRecord(

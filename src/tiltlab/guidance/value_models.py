@@ -63,14 +63,6 @@ def log_mean_exp_backup(v_prev: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * (hi[:, 0] + np.log(np.exp(v - hi).mean(axis=1)))
 
 
-def _collect_pretrained_states(policy: PolicyNet, reward_spec: RewardSpec,
-                               n_traj: int, rng: np.random.Generator):
-    """States x_t for all t plus terminal rewards from pre-trained rollouts."""
-    traj = sample_trajectory(policy, rng, n_traj)
-    rewards = eval_reward(reward_spec, traj.terminal)
-    return traj, rewards
-
-
 def fit_value_mc(
     policy: PolicyNet,
     reward_spec: RewardSpec,
@@ -89,7 +81,8 @@ def fit_value_mc(
     if budget < 100:
         raise ContractError(f"need a budget of at least 100 trajectories, got {budget}")
     s = policy.schedule
-    traj, rewards = _collect_pretrained_states(policy, reward_spec, budget, rng)
+    traj = sample_trajectory(policy, rng, budget)
+    rewards = eval_reward(reward_spec, traj.terminal)
     r_max = float(rewards.max())
     target = np.exp((rewards - r_max) / alpha)
 

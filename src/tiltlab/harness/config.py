@@ -189,12 +189,13 @@ def _read_oracle(run: Run, cfg: dict) -> None:
 
 
 def _read_conditional(run: Run, cfg: dict) -> None:
-    _read_chain(run, cfg)
+    c = _Keys(cfg, "conditional")
+    method = c.node.get("method", "value-weighted")
+    # A method naming an algorithm trains the policy, as a finetune run does.
+    _read_chain(run, cfg, trainable=method != "value-weighted")
     if run.policy.base is None:
         raise ConfigError("policy.kind: conditional generation needs an analytic mixture base")
-    c = _Keys(cfg, "conditional")
     label = _label(c, "label", None, run.base)
-    method = c.node.get("method", "value-weighted")
     run.opts = SimpleNamespace(label=label, samples=c.integer("samples", 4000), method=method,
                                alpha=c.real("alpha", 1.0, positive=True))
     if method != "value-weighted":

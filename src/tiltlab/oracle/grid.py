@@ -38,6 +38,7 @@ from ..rewards import RewardSpec, eval_reward
 
 BOUNDARY_MASS_TOL = 1e-4
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))  # exp overflows above this
+JOINT_MASS_FLOOR = 1e-12  # Theorem 3 compares posteriors only where both joints exceed this
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -286,7 +287,7 @@ def bellman_residual(sol: SoftSolution) -> float:
     return _bellman_residuals(sol)[0]
 
 
-def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
+def verify_theorems(sol: SoftSolution) -> dict:
     """Max-abs deviations for the three structural identities plus the
     Bellman residual and the spread of the Theorem-2 constant.
 
@@ -296,7 +297,7 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
     where exp(v/alpha) overflows the absolute ones read inf. Theorem 2
     compares marginals with exp(v_t/alpha - log C) p_pre_t, a probability
     formed in log space. Theorem 3 compares posteriors only where both
-    joints, pre-trained and soft-optimal, exceed ``joint_mass_floor``.
+    joints, pre-trained and soft-optimal, exceed ``JOINT_MASS_FLOOR``.
     Thresholds are the caller's business; this only reports numbers.
     """
     mdp, alpha = sol.mdp, sol.mdp.alpha
@@ -318,8 +319,8 @@ def verify_theorems(sol: SoftSolution, joint_mass_floor: float = 1e-12) -> dict:
         # Joints (i, j), then posteriors over i given j, in the two buffers.
         np.multiply(sol.pre_marginals[t][:, None], mdp.trans[t - 1], out=post_pre)
         np.multiply(sol.marginals[t][:, None], sol.policy[t - 1], out=post_star)
-        np.greater(post_pre, joint_mass_floor, out=mask)
-        np.greater(post_star, joint_mass_floor, out=mask, where=mask)
+        np.greater(post_pre, JOINT_MASS_FLOOR, out=mask)
+        np.greater(post_star, JOINT_MASS_FLOOR, out=mask, where=mask)
         post_pre /= np.maximum(post_pre.sum(axis=0), 1e-300)
         post_star /= np.maximum(post_star.sum(axis=0), 1e-300)
         post_star -= post_pre

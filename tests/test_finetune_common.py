@@ -10,7 +10,6 @@ from tiltlab.diffusion import (
     reverse_mean,
     sample_trajectory,
 )
-from tiltlab.autodiff import init_mlp
 from tiltlab.errors import ContractError, NumericError
 from tiltlab.finetune import (
     FineTuneConfig,
@@ -74,9 +73,10 @@ def test_kl_penalty_matches_per_step_gaussian_kl(residual16, analytic16):
 
 
 def test_ppo_and_pcl_kl_terms_match_kl_penalty(residual16, analytic16):
-    # PPO reads the snapshot's means from the trajectory and PCL re-scores
-    # the stored states once per policy; both per-step KL arrays must sum
-    # to the penalty computed from scratch.
+    # PPO reads the snapshot's means from the trajectory, and so does PCL
+    # for the policy that drew each step, re-scoring the stored states under
+    # the other policy only; both per-step KL arrays must sum to the penalty
+    # computed from scratch.
     rng = make_rng(10)
     policy = residual16.with_params(
         {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
@@ -96,8 +96,7 @@ def test_ppo_and_pcl_kl_terms_match_kl_penalty(residual16, analytic16):
     assert np.array_equal(signals[0], -eval_reward(reward, traj.terminal))
     assert np.array_equal(pre_means, means_under(analytic16, traj.states[1:]))
 
-    value = init_mlp([3, 4, 1], make_rng(12))
-    *_, kl = pcl_residual_arrays(policy, analytic16, value, traj, reward, alpha=0.5)
+    *_, kl = pcl_residual_arrays(policy, analytic16, traj, 0)
     assert np.array_equal(kl.sum(axis=0), want)
 
 
@@ -197,6 +196,10 @@ def test_stored_state_loss_tapes_do_not_grow_with_steps(std_base, monkeypatch, a
         pre = add_residual_net(analytic, make_rng(13), hidden=(8,))
         cfg = FineTuneConfig(algorithm, alpha=1.0, batch=8, iterations=1, value_hidden=(8,), seed=1)
         run_finetune(pre, LinearReward([1.0]), cfg)
+    if algorithm == "pcl":
+        # PCL's value step descends first; its tape records v_t once per
+        # level, so only the policy step's tape is compared.
+        ops = ops[1::2]
     assert len(ops) == 2
     assert ops[0] == ops[1]
     assert "mixture_eps" not in ops[0]

@@ -406,6 +406,27 @@ def test_conditional_run_two_dim_counts_label_component(tmp_path):
     assert "sample_mean" not in metrics and "target_component_mean" not in metrics
 
 
+def test_finetuned_conditional_policy_reads_policy_keys_and_seed():
+    # A conditional method that names an algorithm trains the policy, so an
+    # analytic policy gets the residual net of policy.hidden and
+    # policy.activation, initialised from the run's seed as a finetune run's is.
+    chain = {"base": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-3.0], [3.0]],
+                      "stds": [1.0, 1.0]},
+             "schedule": {"steps": 4, "horizon": 2.0},
+             "policy": {"kind": "analytic", "hidden": [8], "activation": "relu"}}
+    cfg = {"kind": "conditional", "seed": 5, **chain, "finetune": {"algorithm": "ppo", "iterations": 1},
+           "conditional": {"label": 1, "samples": 10, "method": "ppo"}}
+    net = validate_config(cfg).policy.net
+    assert net is not None and net.widths == [3, 8, 1] and net.activation == "relu"
+    finetune = validate_config({"kind": "finetune", "seed": 5, **chain, "reward": {"kind": "linear", "a": [1.0]},
+                                "finetune": {"algorithm": "ppo", "iterations": 1}})
+    assert all(np.array_equal(net.params[k], v) for k, v in finetune.policy.net.params.items())
+    other_seed = validate_config({**cfg, "seed": 6}).policy.net
+    assert not np.array_equal(other_seed.params["w0"], net.params["w0"])
+    value_weighted = {**cfg, "conditional": {"label": 1, "samples": 10, "method": "value-weighted"}}
+    assert validate_config(value_weighted).policy.net is None
+
+
 def test_finetune_log_closed_when_training_fails(tmp_path, monkeypatch, capsys):
     import gc
 

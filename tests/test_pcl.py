@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
-from tiltlab.autodiff import MlpModel, init_mlp, zero_mlp
-from tiltlab.diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule, sample_trajectory
+from tiltlab.autodiff import MlpModel, Tape, evaluate, gradient, init_mlp, zero_mlp
+from tiltlab.diffusion import (
+    GaussianMixture, PolicyNet, add_residual_net, log_probs_under, make_schedule, sample_trajectory,
+)
 from tiltlab.finetune import (
     FineTuneConfig,
+    kl_penalty,
     one_step_residuals,
     pcl_residual_arrays,
-    pcl_value_gradient,
+    pcl_value_loss,
+    rollin_switch,
+    rollin_trajectory,
     run_finetune,
 )
 from tiltlab.oracle import grid_build, grid_soft_solve
-from tiltlab.rewards import LinearReward
+from tiltlab.rewards import LinearReward, eval_reward
 from tiltlab.streams import make_rng
 
 
@@ -45,9 +50,10 @@ def test_residual_zero_for_trivial_configuration(analytic16):
     # theta = theta_pre, v = 0, r = 0: the log terms cancel and the values
     # vanish, so the residual is identically zero.
     traj = sample_trajectory(analytic16, make_rng(2), n=8)
-    value = zero_mlp([3, 4, 1])
-    values, lp_cur, lp_pre, _ = pcl_residual_arrays(analytic16, analytic16, value, traj,
-                                                    LinearReward([0.0]), alpha=1.0)
+    lp_cur, lp_pre, _ = pcl_residual_arrays(analytic16, analytic16, traj, 0)
+    reward = eval_reward(LinearReward([0.0]), traj.terminal)
+    _, _, values = pcl_value_loss(Tape(), zero_mlp([3, 4, 1]), analytic16.schedule, traj, reward,
+                                  lp_cur, lp_pre, 1.0)
     res = one_step_residuals(values, lp_cur, lp_pre, 1.0)
     assert np.array_equal(res, np.zeros_like(res))
 
@@ -106,16 +112,26 @@ def test_value_gradient_matches_finite_differences_of_batch_loss():
     )
     traj = sample_trajectory(policy, make_rng(22), n=8)
     value = init_mlp([3, 4, 1], make_rng(23))
-    reward, alpha = LinearReward([1.0]), 0.7
+    reward, alpha = eval_reward(LinearReward([1.0]), traj.terminal), 0.7
+    s = policy.schedule
+    lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, traj, 0)
+
+    def numpy_values(params):
+        model = MlpModel(value.widths, value.activation, params)
+        return np.stack([reward] + [evaluate(model, s.net_input(traj.states[t], t))[:, 0]
+                                    for t in range(1, s.n_steps + 1)])
 
     def batch_loss(params):
-        model = MlpModel(value.widths, value.activation, params)
-        values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, model, traj, reward, alpha)
-        return (one_step_residuals(values, lp_cur, lp_pre, alpha) ** 2).sum() / traj.batch
+        res = one_step_residuals(numpy_values(params), lp_cur, lp_pre, alpha)
+        return (res ** 2).sum() / traj.batch
 
-    values, lp_cur, lp_pre, _ = pcl_residual_arrays(policy, pre, value, traj, reward, alpha)
-    grads = pcl_value_gradient(value, policy.schedule, traj, values[0], lp_cur, lp_pre, alpha)
-    assert sorted(grads) == sorted(value.params)
+    tape = Tape()
+    loss, vnodes, values = pcl_value_loss(tape, value, s, traj, reward, lp_cur, lp_pre, alpha)
+    # The values read off the tape are the numpy forward pass, bit for bit.
+    assert np.array_equal(values, numpy_values(value.params))
+    assert np.isclose(float(loss.value), batch_loss(value.params), rtol=1e-14, atol=0.0)
+    assert sorted(vnodes) == sorted(value.params)
+    grads = dict(zip(sorted(vnodes), gradient(loss, [vnodes[k] for k in sorted(vnodes)])))
     h = 1e-5
     for name, arr in value.params.items():
         fd = np.empty_like(arr)
@@ -126,6 +142,32 @@ def test_value_gradient_matches_finite_differences_of_batch_loss():
             down[name][idx] -= h
             fd[idx] = (batch_loss(up) - batch_loss(down)) / (2 * h)
         assert np.abs(grads[name] - fd).max() <= 1e-6 * np.abs(fd).max(), name
+
+
+@pytest.mark.parametrize("rollin", ["current", "pretrained", "mixture:5"])
+def test_every_rollin_scores_each_step_under_both_policies(residual16, rollin):
+    # Each step's means under the policy that drew it are the trajectory's
+    # own and only the other policy runs on the step's states; both log
+    # density arrays equal a fresh scoring under each policy, byte for byte.
+    rng = make_rng(30)
+
+    def perturbed(policy):
+        return policy.with_params({k: v + 0.05 * rng.standard_normal(v.shape)
+                                   for k, v in policy.params.items()})
+
+    pre = perturbed(residual16)  # a live pre-trained net, so no part of it is skipped
+    policy = perturbed(pre)
+    traj = rollin_trajectory(policy, pre, rollin, 12, make_rng(31))
+    lp_cur, lp_pre, kl = pcl_residual_arrays(policy, pre, traj, rollin_switch(rollin, traj.n_steps))
+    assert np.array_equal(lp_cur, log_probs_under(policy, traj))
+    assert np.array_equal(lp_pre, log_probs_under(pre, traj))
+    assert np.array_equal(kl.sum(axis=0), kl_penalty(policy, pre, traj))
+
+    cfg = FineTuneConfig("pcl", alpha=1.0, batch=12, iterations=2, lr=5e-3, rollin=rollin,
+                         value_hidden=(8,), seed=4)
+    records = run_finetune(pre, LinearReward([1.0]), cfg).records
+    assert len(records) == 2
+    assert all(np.isfinite([r.mean_reward, r.kl_estimate, r.loss, r.grad_norm]).all() for r in records)
 
 
 def test_training_reduces_mean_squared_residual(residual16):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tiltlab.autodiff import expected_param_count, param_distance
-from tiltlab.diffusion import reverse_mean
+from tiltlab.diffusion import means_under, reverse_mean
 from tiltlab.finetune import FineTuneConfig, collect_mle_tuples, run_finetune, stabilized_weights
 from tiltlab.oracle import GridMDP, grid_soft_solve
 from tiltlab.rewards import LinearReward
@@ -59,8 +59,9 @@ def test_rollin_prefix_is_current_and_suffix_is_pretrained(residual16, analytic1
     shifted = residual16.with_params(
         {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in residual16.params.items()}
     )
-    x_t, x_prev, _ = collect_mle_tuples(shifted, analytic16, m=4000, rng=make_rng(6))
-    s = residual16.schedule
+    x_t, x_prev, _, pre_means = collect_mle_tuples(shifted, analytic16, m=4000, rng=make_rng(6))
+    # The roll-in keeps the pre-trained means it drew each x_{t-1} from.
+    assert np.array_equal(pre_means, means_under(analytic16, x_t))
     t = 8
     resid_pre = (x_prev[t - 1] - reverse_mean(analytic16, x_t[t - 1], t)).mean()
     resid_cur = (x_prev[t - 1] - reverse_mean(shifted, x_t[t - 1], t)).mean()
