@@ -10,12 +10,15 @@ outside the checkout. For every workload in ``BENCHMARK.json`` and each of
 seeds 1-10 the script runs ``perfbench/run.py`` for the benchmark's
 ``run_seconds`` once in each checkout, one pair at a time, alternating
 which side goes first, and reads the detail and result lines run.py
-prints. The record holds, per workload and end-to-end metric, each side's
-runs, median and quartiles and the number of pairs the change wins, plus
-each side's provenance: run.py's machine record (core count, BLAS thread
-settings, versions), the commit, and a SHA-256 of its ``src`` tree. The
-parent's commit is the resolved ``--parent``; the change's is HEAD when
-its tracked files equal HEAD and null otherwise. Standard library only.
+prints. A run is recorded as an error, and the script exits 1, unless both
+lines are strict JSON (no ``NaN`` or ``Infinity``) and the result line
+holds a finite value for every end-to-end metric. The record holds, per
+workload and end-to-end metric, each side's runs, median and quartiles
+and the number of pairs the change wins, plus each side's provenance:
+run.py's machine record (core count, BLAS thread settings, versions), the
+commit, and a SHA-256 of its ``src`` tree. The parent's commit is the
+resolved ``--parent``; the change's is HEAD when its tracked files equal
+HEAD and null otherwise. Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -42,12 +46,30 @@ def pair_order(index: int) -> tuple[str, str]:
     return SIDES if index % 2 == 0 else SIDES[::-1]
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a number in strict JSON")
+
+
 def parse_output(stdout: str) -> tuple[dict, dict]:
-    """(detail, result) from the last two lines run.py prints."""
+    """(detail, result) from the last two lines run.py prints, parsed as strict
+    JSON: a ``NaN``, ``Infinity`` or ``-Infinity`` raises a ValueError."""
     lines = stdout.strip().splitlines()
     if len(lines) < 2:
         raise ValueError("run.py printed fewer than two lines")
-    return json.loads(lines[-2])["detail"], json.loads(lines[-1])
+    detail, result = (json.loads(line, parse_constant=_reject_constant) for line in lines[-2:])
+    return detail["detail"], result
+
+
+def metric_values(result: dict, names) -> dict:
+    """Each named metric's value on the result line; a ValueError names the
+    first one that is missing or not a finite number."""
+    values = {}
+    for name in names:
+        value = result["metrics"].get(name, {}).get("value")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"metric {name}: {value!r} is not a finite number")
+        values[name] = value
+    return values
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -92,8 +114,9 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run.py run: its metric values, failure count and provenance, or its error."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics) -> dict:
+    """One run.py run: the values of the named ``metrics``, its failure count and
+    provenance, or its error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     try:
@@ -105,10 +128,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {proc.returncode}: {proc.stderr[-500:]}"}
     try:
         detail, result = parse_output(proc.stdout)
-    except (ValueError, KeyError) as exc:
+        values = metric_values(result, metrics)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         return {"error": f"unparsable output: {exc}"}
     return {
-        "values": {k: m["value"] for k, m in result["metrics"].items()},
+        "values": values,
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -171,7 +195,7 @@ def main(argv=None) -> int:
                 order = pair_order(i)
                 runs = {}
                 for side in order:
-                    runs[side] = run_once(checkouts[side], workload, seed, seconds)
+                    runs[side] = run_once(checkouts[side], workload, seed, seconds, metrics)
                     all_runs[side].append(runs[side])
                     print(f"{workload} seed {seed} {side}: "
                           f"{runs[side].get('error') or 'failed %d' % runs[side]['failed']}",

@@ -12,10 +12,11 @@ every ``configs/*.yaml``; ``finetune_backprop.yaml`` with ``ppo``,
 ``weighted-mle`` and ``pcl`` at a few iterations; PCL with the
 ``pretrained`` and ``mixture:<k>`` roll-ins; weighted MLE and PCL whose
 pre-trained policy is the backprop run's ``checkpoint_final.txt`` (a live
-net); and ``guide_posterior.yaml`` fine-tuned by ``ppo``. Each run goes
-through ``run_experiment`` and then ``plotdata``, in a fresh process with
-``PYTHONPATH=<side>/src`` and one BLAS thread, from a work directory per
-side, so paths inside the runs are the same on both sides.
+net); and a ``finetune`` run that trains ``guide_posterior.yaml``'s chain
+and classifier reward by ``ppo``. Each run goes through ``run_experiment``
+and then ``plotdata``, in a fresh process with ``PYTHONPATH=<side>/src``
+and one BLAS thread, from a work directory per side, so paths inside the
+runs are the same on both sides.
 
 The run trees are compared file by file: JSON lines with their ``ts`` and
 ``wall_time`` keys dropped, CSV files with those columns dropped, every
@@ -75,10 +76,11 @@ def run_list(configs: Path) -> list[tuple[str, dict]]:
         tree = backprop_cfg(algorithm=algorithm)
         tree["policy"] = {**tree["policy"], "checkpoint": "finetune_backprop/checkpoint_final.txt"}
         runs.append((f"live_pre_{algorithm}", tree))
-    conditional = copy.deepcopy(named["guide_posterior"])
-    conditional["conditional"]["method"] = "ppo"
-    conditional["finetune"] = {"algorithm": "ppo", "iterations": FEW_ITERATIONS, "batch": 64}
-    runs.append(("conditional_ppo", conditional))
+    posterior = copy.deepcopy(named["guide_posterior"])
+    classifier = {k: v for k, v in posterior.items() if k != "guide"}
+    classifier.update(kind="finetune", eval_samples=posterior["guide"]["samples"],
+                      finetune={"algorithm": "ppo", "iterations": FEW_ITERATIONS, "batch": 64})
+    runs.append(("classifier_ppo", classifier))
     return runs
 
 

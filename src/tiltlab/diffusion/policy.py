@@ -110,7 +110,7 @@ class PolicyNet:
         return np.zeros_like(x) if out is None else out
 
 
-def add_residual_net(policy: PolicyNet, rng: np.random.Generator | None = None,
+def add_residual_net(policy: PolicyNet, rng: np.random.Generator,
                      hidden=(32, 32), activation: str = "tanh") -> PolicyNet:
     """Attach a zero-output residual network to an analytic policy.
 
@@ -122,8 +122,6 @@ def add_residual_net(policy: PolicyNet, rng: np.random.Generator | None = None,
 
     if policy.net is not None:
         raise ContractError("policy already has a network component")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
     d = policy.dim
     return replace(policy, net=residual_mlp([d + 2, *hidden, d], rng, activation))
 

@@ -42,7 +42,6 @@ class FineTuneConfig:
     rollin: str = "current"    # current | pretrained | mixture:<k>
     seed: int = 0
     value_hidden: tuple[int, ...] = (32, 32)
-    value_lr: float | None = None
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:

@@ -121,8 +121,7 @@ def pcl_iteration(
     tape = Tape()
     loss_v, vnodes, values = pcl_value_loss(tape, value, s, traj, reward, lp_cur, lp_pre, alpha)
     msr = float((one_step_residuals(values, lp_cur, lp_pre, alpha) ** 2).mean())
-    new_value_params, opt_value, norm_v = descend(loss_v, vnodes, value.params, opt_value,
-                                                  cfg.value_lr or cfg.lr)
+    new_value_params, opt_value, norm_v = descend(loss_v, vnodes, value.params, opt_value, cfg.lr)
 
     # Policy step: log p_theta live, values at the snapshot on both ends. The
     # fresh tape frees the value tape before anything is recorded on it.

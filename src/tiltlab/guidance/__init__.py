@@ -6,17 +6,16 @@ from .sources import (
     PathIntegralShift,
     TweedieShift,
     ZeroShift,
-    affine_shift_from_chain,
     path_integral_grad,
     tweedie_posterior_mean,
     tweedie_value_grad,
 )
-from .sampling import GuidedPolicy, conditional_generate, value_weighted_sample
+from .sampling import GuidedPolicy, value_weighted_sample
 
 __all__ = [
     "ValueModel", "fit_value_mc", "fit_value_softq", "log_mean_exp_backup",
     "AffineValueShift", "FittedValueShift", "MixturePosteriorShift", "PathIntegralShift",
-    "TweedieShift", "ZeroShift", "affine_shift_from_chain", "path_integral_grad",
+    "TweedieShift", "ZeroShift", "path_integral_grad",
     "tweedie_posterior_mean", "tweedie_value_grad",
-    "GuidedPolicy", "conditional_generate", "value_weighted_sample",
+    "GuidedPolicy", "value_weighted_sample",
 ]

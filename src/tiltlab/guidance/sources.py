@@ -20,6 +20,7 @@ from ..autodiff import has_zero_output, input_gradient
 from ..diffusion.base import GaussianMixture
 from ..diffusion.policy import PolicyNet, reverse_mean
 from ..errors import ContractError
+from ..oracle.chain import ChainStats
 from ..rewards import RewardSpec, eval_reward, grad_reward
 from .value_models import ValueModel
 
@@ -50,26 +51,18 @@ class FittedValueShift:
 class AffineValueShift:
     """Exact shift for a linear reward on a Gaussian base.
 
-    slopes[t] is the value slope used at step t (the one-step-exact
-    d v_{t-1}/dx from the chain oracle), so the guided chain coincides
-    with the soft-optimal chain up to Monte-Carlo noise.
+    Step t shifts by the chain oracle's one-step-exact value slope
+    d v_{t-1}/dx, so the guided chain coincides with the soft-optimal
+    chain up to Monte-Carlo noise.
     """
 
-    schedule: object
-    slopes: np.ndarray  # (T+1,), index by step t = 1..T
+    chain: ChainStats
+    reward_slope: float
     alpha: float
 
     def shift(self, x, t):
         x = np.atleast_2d(x)
-        return np.full_like(x, self.schedule.rev_var * self.slopes[t] / self.alpha)
-
-
-def affine_shift_from_chain(chain, reward_slope: float, alpha: float) -> AffineValueShift:
-    T = chain.schedule.n_steps
-    slopes = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        slopes[t] = reward_slope * chain.sens[t - 1]
-    return AffineValueShift(chain.schedule, slopes, alpha)
+        return np.full_like(x, self.chain.guided_shift_slope(t, self.reward_slope, self.alpha))
 
 
 def tweedie_posterior_mean(policy: PolicyNet, x, t: int) -> np.ndarray:

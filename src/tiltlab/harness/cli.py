@@ -2,10 +2,9 @@
 
     tiltlab <subcommand> --config <path> [--seed <u64>] [--out <dir>]
 
-Subcommands mirror the run kinds (pretrain, finetune, guide, oracle,
-conditional, eval, sweep); ``plotdata`` post-processes an existing run
-directory given via --out. Exit codes: 0 success, 2 validation failure,
-3 numeric failure.
+Subcommands mirror the run kinds (pretrain, finetune, guide, oracle, eval,
+sweep); ``plotdata`` post-processes an existing run directory given via
+--out. Exit codes: 0 success, 2 validation failure, 3 numeric failure.
 """
 
 from __future__ import annotations

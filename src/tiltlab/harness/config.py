@@ -26,13 +26,14 @@ from ..errors import CapabilityError, ConfigError, ContractError, CoverageError,
 from ..finetune import ALGORITHMS, FineTuneConfig, rollin_switch
 from ..oracle import GridMDP, chain_stats, grid_build, tilted_gaussian_target
 from ..rewards import (
-    BlackBoxReward, ClassifierReward, LearnedReward, LinearReward, QuadraticReward, eval_reward,
+    BlackBoxReward, ClassifierReward, LearnedReward, LinearReward, QuadraticReward, check_label_mass,
+    eval_reward,
 )
 from ..runfiles import read_samples_csv
 from ..streams import BRANCH_INIT, make_rng
 from .metrics import MIN_SAMPLES
 
-RUN_KINDS = ("pretrain", "finetune", "guide", "oracle", "conditional", "eval", "sweep")
+RUN_KINDS = ("pretrain", "finetune", "guide", "oracle", "eval", "sweep")
 ESTIMATORS = ("mc", "softq", "tweedie", "path-integral", "affine", "posterior", "zero")
 ORACLE_CHECKS = ("grid", "two-state", "tilt", "mala")
 REWARD_KINDS = ("linear", "quadratic", "classifier", "blackbox", "learned")
@@ -147,8 +148,8 @@ def _read_guide(run: Run, cfg: dict) -> None:
         o.n_states, o.inner_draws = g.integer("n_states", 256), g.integer("inner_draws", 64, least=2)
     elif est == "path-integral":
         o.rollouts = g.integer("rollouts", 256, least=100)
-    elif est == "posterior":
-        o.label = _label(g, "label", 0, run.base)
+    elif est == "posterior" and not isinstance(run.reward, ClassifierReward):
+        raise ConfigError("guide.estimator: posterior needs a classifier reward, whose label it guides to")
     elif est == "tweedie" and not run.reward.differentiable:
         raise CapabilityError("guide.estimator: tweedie requires a differentiable reward")
     elif est == "affine" and not (isinstance(run.reward, LinearReward)
@@ -186,24 +187,6 @@ def _read_oracle(run: Run, cfg: dict) -> None:
         if check == "mala":
             run.opts.samples = o.integer("samples", 20000)
             run.opts.step = o.real("step", 0.5, positive=True)
-
-
-def _read_conditional(run: Run, cfg: dict) -> None:
-    c = _Keys(cfg, "conditional")
-    method = c.node.get("method", "value-weighted")
-    # A method naming an algorithm trains the policy, as a finetune run does.
-    _read_chain(run, cfg, trainable=method != "value-weighted")
-    if run.policy.base is None:
-        raise ConfigError("policy.kind: conditional generation needs an analytic mixture base")
-    label = _label(c, "label", None, run.base)
-    run.opts = SimpleNamespace(label=label, samples=c.integer("samples", 4000), method=method,
-                               alpha=c.real("alpha", 1.0, positive=True))
-    if method != "value-weighted":
-        run.finetune = _named("finetune", _finetune_config, cfg, run.seed, run.schedule,
-                              ClassifierReward(run.base, label))
-        if method != run.finetune.algorithm:
-            raise ConfigError(f"conditional.method: {method!r} is neither value-weighted nor "
-                              f"finetune.algorithm ({run.finetune.algorithm!r})")
 
 
 def _read_eval(run: Run, cfg: dict) -> None:
@@ -248,8 +231,7 @@ def _read_sweep(run: Run, cfg: dict) -> None:
 
 
 _READERS = {"pretrain": _read_pretrain, "finetune": _read_finetune, "guide": _read_guide,
-            "oracle": _read_oracle, "conditional": _read_conditional, "eval": _read_eval,
-            "sweep": _read_sweep}
+            "oracle": _read_oracle, "eval": _read_eval, "sweep": _read_sweep}
 
 
 # -- sections shared by several kinds -------------------------------------------
@@ -320,7 +302,9 @@ def _reward(cfg: dict, base: GaussianMixture | None):
         A = r.array("A", None)
         return QuadraticReward(A, r.array("b", np.zeros(np.atleast_2d(A).shape[0])), r.real("c", 0.0))
     if kind == "classifier":
-        return ClassifierReward(base or _named("base", _base, cfg), r.integer("label", None, least=0))
+        reward = ClassifierReward(base or _named("base", _base, cfg), r.integer("label", None, least=0))
+        check_label_mass(reward)
+        return reward
     if kind == "blackbox":
         name = r.choice("name", tuple(BLACK_BOXES))
         return BlackBoxReward(BLACK_BOXES[name], differentiable=False, name=name)
@@ -341,21 +325,12 @@ def _finetune_config(cfg: dict, seed: int, schedule: DiffusionSchedule, reward) 
     for key in ("alpha", "lr", "clip"):
         if key in kw:
             kw[key] = ft.real(key, None)
-    if kw.get("value_lr") is not None:
-        kw["value_lr"] = ft.real("value_lr", None, positive=True)
     if "value_hidden" in kw:
         kw["value_hidden"] = ft.widths("value_hidden", None)
     fcfg = FineTuneConfig(**kw)
     fcfg.check_reward(reward)
     rollin_switch(fcfg.rollin, schedule.n_steps)
     return fcfg
-
-
-def _label(keys: _Keys, key: str, default, base: GaussianMixture) -> int:
-    label = keys.integer(key, default, least=0)
-    if label >= base.n_components:
-        raise ConfigError(f"{keys.name(key)}: outside the mixture's components")
-    return label
 
 
 def _tilted(keys: _Keys, slope: float, alpha: float):

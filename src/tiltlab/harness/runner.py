@@ -23,11 +23,11 @@ from ..diffusion import gaussian_log_density, sample_trajectory, train_denoiser
 from ..errors import CapabilityError, ConfigError, ContractError, CoverageError, NumericError, ShapeError
 from ..finetune import run_finetune
 from ..guidance import (
-    FittedValueShift, GuidedPolicy, MixturePosteriorShift, PathIntegralShift, TweedieShift, ZeroShift,
-    affine_shift_from_chain, conditional_generate, fit_value_mc, fit_value_softq, value_weighted_sample,
+    AffineValueShift, FittedValueShift, GuidedPolicy, MixturePosteriorShift, PathIntegralShift, TweedieShift,
+    ZeroShift, fit_value_mc, fit_value_softq, value_weighted_sample,
 )
 from ..oracle import GridMDP, chain_stats, grid_soft_solve, mala_sample, verify_theorems
-from ..rewards import eval_reward
+from ..rewards import ClassifierReward, eval_reward
 from ..runfiles import csv_field, float_cells, sample_header, write_csv, write_jsonl, write_samples_csv
 from ..streams import BRANCH_EVAL, BRANCH_FIT, BRANCH_MCMC, BRANCH_PRETRAIN, make_rng
 from .config import Run, validate_config
@@ -114,6 +114,7 @@ def _run_finetune(run: Run, out: Path) -> None:
 
     metrics = {"mean_reward": float(eval_reward(run.reward, traj.terminal).mean())}
     metrics.update(_target_metrics(run.target, traj.terminal))
+    metrics.update(_label_metrics(run.reward, traj.terminal))
     append_metrics(out / "metrics.jsonl", make_records(out.name, metrics, n=o.eval_samples))
 
 
@@ -135,6 +136,18 @@ def _target_metrics(target: tuple[np.ndarray, np.ndarray] | None, samples: np.nd
     return out
 
 
+def _label_metrics(reward, samples: np.ndarray) -> dict:
+    """For a classifier reward, the share of samples whose most likely component
+    is the label, and the distance of the sample mean from that component's mean."""
+    if not isinstance(reward, ClassifierReward):
+        return {}
+    mix, label = reward.mixture, reward.label
+    return {
+        "fraction_correct_side": float(np.mean(mix.responsibilities(samples).argmax(axis=1) == label)),
+        "mean_gap_to_component": float(np.linalg.norm(samples.mean(axis=0) - mix.means[label])),
+    }
+
+
 def _run_guide(run: Run, out: Path) -> None:
     policy, reward, o = run.policy, run.reward, run.opts
     fit_rng = make_rng(run.seed, BRANCH_FIT)
@@ -151,10 +164,9 @@ def _run_guide(run: Run, out: Path) -> None:
     elif o.estimator == "path-integral":
         source = PathIntegralShift(policy, reward, o.alpha, o.rollouts, fit_rng)
     elif o.estimator == "affine":
-        cs = chain_stats(policy.schedule, run.base)
-        source = affine_shift_from_chain(cs, float(np.atleast_1d(reward.a)[0]), o.alpha)
+        source = AffineValueShift(chain_stats(policy.schedule, run.base), float(reward.a[0]), o.alpha)
     else:  # posterior
-        source = MixturePosteriorShift(run.base, policy.schedule, o.label, o.alpha)
+        source = MixturePosteriorShift(reward.mixture, policy.schedule, reward.label, o.alpha)
 
     samples, diag = value_weighted_sample(GuidedPolicy(policy, source, o.alpha),
                                           make_rng(run.seed, BRANCH_EVAL), o.samples)
@@ -164,6 +176,7 @@ def _run_guide(run: Run, out: Path) -> None:
     metrics = {"mean_reward": float(eval_reward(reward, samples).mean()),
                "max_shift_norm": diag["max_shift_norm"]}
     metrics.update(_target_metrics(run.target, samples))
+    metrics.update(_label_metrics(reward, samples))
     append_metrics(out / "metrics.jsonl", make_records(out.name, metrics, n=o.samples))
 
 
@@ -209,19 +222,6 @@ def _solve_and_dump(mdp: GridMDP, out: Path) -> dict:
     return report
 
 
-def _run_conditional(run: Run, out: Path) -> None:
-    o, base = run.opts, run.base
-    samples, _ = conditional_generate(run.policy, o.label, make_rng(run.seed, BRANCH_EVAL), o.samples,
-                                      alpha=o.alpha, method=o.method, finetune_cfg=run.finetune)
-    write_samples_csv(out / "samples.csv", samples)
-    correct = float(np.mean(base.responsibilities(samples).argmax(axis=1) == o.label))
-    metrics = {
-        "fraction_correct_side": correct,
-        "mean_gap_to_component": float(np.linalg.norm(samples.mean(axis=0) - base.means[o.label])),
-    }
-    append_metrics(out / "metrics.jsonl", make_records(out.name, metrics, n=o.samples))
-
-
 def _run_eval(run: Run, out: Path) -> None:
     o = run.opts
     metrics = eval_metrics(o.samples_a, o.reference if o.samples_b is None else o.samples_b,
@@ -239,5 +239,4 @@ def _run_sweep(run: Run, out: Path) -> None:
 
 
 _RUNS = {"pretrain": _run_pretrain, "finetune": _run_finetune, "guide": _run_guide,
-         "oracle": _run_oracle, "conditional": _run_conditional, "eval": _run_eval,
-         "sweep": _run_sweep}
+         "oracle": _run_oracle, "eval": _run_eval, "sweep": _run_sweep}

@@ -55,7 +55,7 @@ class ChainStats:
 
     def guided_shift_slope(self, t: int, reward_slope: float, alpha: float) -> float:
         """Exact mean shift sigma^2(t) * dv_{t-1}/dx / alpha applied at step t."""
-        return float(self.schedule.rev_var * reward_slope * self.sens[t - 1] / alpha)
+        return float(self.schedule.rev_var * (reward_slope * self.sens[t - 1]) / alpha)
 
     def tilted_terminal(self, reward_slope: float, alpha: float) -> tuple[float, float]:
         """Terminal (mean, var) of the KL-tilted optimum of this chain.

@@ -31,7 +31,9 @@ from .autodiff import (
     zero_mlp,
 )
 from .diffusion.base import GaussianMixture
-from .errors import CapabilityError, ConfigError, ContractError, NumericError, ShapeError
+from .errors import (
+    CapabilityError, ConfigError, ContractError, NumericError, ShapeError, TargetDegeneracyError,
+)
 from .runfiles import float_cells, read_table, sample_header, write_csv
 
 REWARD_BOUND = 1e6
@@ -88,6 +90,24 @@ class ClassifierReward:
             raise IndexError(f"label {self.label} outside the mixture's components")
 
     differentiable = True
+
+
+def check_label_mass(reward: ClassifierReward) -> None:
+    """Reject a label whose posterior never rises above 1e-6 on the support."""
+    base, n_probe = reward.mixture, 512
+    lo = (base.means.min(axis=0) - 6.0 * base.scales.max()).min()
+    hi = (base.means.max(axis=0) + 6.0 * base.scales.max()).max()
+    if base.dim == 1:
+        probe = np.linspace(lo, hi, n_probe).reshape(-1, 1)
+    else:
+        grid = np.linspace(lo, hi, int(np.ceil(n_probe ** (1.0 / base.dim))))
+        mesh = np.meshgrid(*([grid] * base.dim))
+        probe = np.stack([m.ravel() for m in mesh], axis=1)
+    post = base.responsibilities(probe)[:, reward.label]
+    if post.max() < 1e-6:
+        raise TargetDegeneracyError(
+            f"label {reward.label} has posterior mass below 1e-6 everywhere on the support"
+        )
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from tiltlab.diffusion import (
 )
 from tiltlab.finetune import FineTuneConfig, ppo_signals, ppo_surrogate_value, run_finetune
 from tiltlab.guidance import (
+    AffineValueShift,
     GuidedPolicy,
-    affine_shift_from_chain,
-    conditional_generate,
+    MixturePosteriorShift,
     fit_value_mc,
     fit_value_softq,
     path_integral_grad,
@@ -163,7 +163,7 @@ def test_criterion_05_reward_backprop_hits_tilted_target(drift_problem, backprop
 def test_criterion_06_value_weighted_sampling_exact_source(drift_problem):
     sched, base, _, cs = drift_problem
     policy = PolicyNet(sched, base=base)  # no trainable parameters at all
-    source = affine_shift_from_chain(cs, 1.0, 1.0)
+    source = AffineValueShift(cs, 1.0, 1.0)
     samples, _ = value_weighted_sample(GuidedPolicy(policy, source, 1.0), make_rng(55), 10000)
     mean_t, var_t = cs.tilted_terminal(1.0, 1.0)
     mean_err = abs(samples.mean() - mean_t)
@@ -266,7 +266,8 @@ def test_criterion_10_autodiff_vs_finite_differences():
 
 def test_criterion_11_conditional_generation(two_modes):
     policy = PolicyNet(make_schedule(64, 8.0), base=two_modes)
-    samples, _ = conditional_generate(policy, 1, make_rng(44), 10000)
+    source = MixturePosteriorShift(two_modes, policy.schedule, 1, 1.0)
+    samples, _ = value_weighted_sample(GuidedPolicy(policy, source, 1.0), make_rng(44), 10000)
     frac = float((samples[:, 0] > 0).mean())
 
     s = make_schedule(4, 1.0)

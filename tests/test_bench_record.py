@@ -68,6 +68,36 @@ def test_parse_output_reads_the_last_two_lines():
         br.parse_output("one line\n")
 
 
+def test_output_with_a_non_finite_or_missing_metric_is_an_error(tmp_path):
+    detail = json.dumps({"detail": {"provenance": {"nproc": 2}}})
+    (tmp_path / "perfbench").mkdir()
+
+    def run(setup):
+        metrics = {"mala_samples_per_s": {"value": 100.0}, **({} if setup is None else {"setup_s": setup})}
+        line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+        (tmp_path / "perfbench" / "run.py").write_text(f"print({detail!r})\nprint({line!r})\n")
+        return br.run_once(tmp_path, "oracle", 1, 1.0, METRICS)
+
+    assert run({"value": 1.0})["values"] == {"setup_s": 1.0, "mala_samples_per_s": 100.0}
+    for value in (float("nan"), float("inf"), -float("inf")):
+        # json.dumps writes these as NaN, Infinity and -Infinity, which strict JSON rejects.
+        assert "not a number in strict JSON" in run({"value": value})["error"]
+    assert "metric setup_s: None" in run({"value": None})["error"]
+    assert "metric setup_s: 'fast'" in run({"value": "fast"})["error"]
+    assert "metric setup_s: None" in run(None)["error"]
+
+
+def test_main_exits_1_when_a_run_reports_a_non_finite_metric(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    _stub_repo(repo)
+    monkeypatch.setenv("BENCH_STUB_LOG", str(tmp_path / "order.log"))
+    monkeypatch.setenv("BENCH_STUB_RATE", "nan")
+    out = tmp_path / "BENCH_0.json"
+    assert br.main(["--parent", "HEAD", "--change", str(repo), "--out", str(out)]) == 1
+    runs = json.loads(out.read_text())["workloads"]["oracle"]["runs"]
+    assert all("NaN" in r["change"]["error"] and "error" not in r["parent"] for r in runs)
+
+
 def test_machine_provenance_is_the_first_successful_runs_without_per_run_fields():
     runs = [{"error": "exit 1"},
             {"provenance": {"workload": "oracle", "seed": 1, "rounds": {}, "nproc": 2, "numpy": "2",
@@ -84,8 +114,9 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 side = Path("side.txt").read_text().strip()
 with open(os.environ["BENCH_STUB_LOG"], "a") as fh:
     fh.write(f"{side} {args['--workload']} {args['--seed']} {args['--seconds']}\\n")
+rate = float(os.environ.get("BENCH_STUB_RATE", "100.0")) if side == "change" else 100.0
 metrics = {"setup_s": {"value": 0.2 if side == "change" else 1.0, "unit": "s"},
-           "mala_samples_per_s": {"value": 100.0, "unit": "1/s"}}
+           "mala_samples_per_s": {"value": rate, "unit": "1/s"}}
 prov = {"workload": args["--workload"], "seed": int(args["--seed"]), "nproc": 2,
         "blas_threads": {"OMP_NUM_THREADS": "1"}, "numpy": "x", "git_commit": "stale"}
 print(json.dumps({"detail": {"provenance": prov}}))

@@ -11,10 +11,10 @@ from tiltlab.autodiff import init_mlp
 from tiltlab.diffusion import GaussianMixture, PolicyNet, add_residual_net, make_schedule, sample_trajectory
 from tiltlab.errors import ContractError
 from tiltlab.guidance import (
+    AffineValueShift,
     GuidedPolicy,
     TweedieShift,
     ZeroShift,
-    affine_shift_from_chain,
     fit_value_mc,
     fit_value_softq,
     log_mean_exp_backup,
@@ -39,7 +39,7 @@ def test_exact_affine_source_hits_tilted_target(std_base):
     policy = PolicyNet(s, base=std_base)
     cs = chain_stats(s, std_base)
     mean_t, var_t = cs.tilted_terminal(1.0, 1.0)
-    source = affine_shift_from_chain(cs, 1.0, 1.0)
+    source = AffineValueShift(cs, 1.0, 1.0)
     samples, diag = value_weighted_sample(GuidedPolicy(policy, source, 1.0), make_rng(2), 10000)
     assert abs(samples.mean() - mean_t) < 0.05
     assert abs(samples.var() - var_t) / var_t < 0.10
@@ -49,7 +49,7 @@ def test_exact_affine_source_hits_tilted_target(std_base):
 def test_pretrained_parameters_untouched_by_guidance(std_base, residual16):
     before = {k: v.copy() for k, v in residual16.params.items()}
     cs = chain_stats(residual16.schedule, std_base)
-    source = affine_shift_from_chain(cs, 1.0, 1.0)
+    source = AffineValueShift(cs, 1.0, 1.0)
     value_weighted_sample(GuidedPolicy(residual16, source, 1.0), make_rng(3), 256)
     for k in before:
         assert np.array_equal(residual16.params[k], before[k])
@@ -59,7 +59,7 @@ def test_huge_alpha_recovers_pretrained_statistics(std_base):
     s = make_schedule(32, 6.0)
     policy = PolicyNet(s, base=std_base)
     cs = chain_stats(s, std_base)
-    source = affine_shift_from_chain(cs, 1.0, 1e9)
+    source = AffineValueShift(cs, 1.0, 1e9)
     samples, _ = value_weighted_sample(GuidedPolicy(policy, source, 1e9), make_rng(4), 10000)
     assert abs(samples.mean() - cs.terminal_mean) < 0.05
     assert abs(samples.var() - cs.terminal_var) / cs.terminal_var < 0.10

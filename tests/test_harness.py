@@ -112,10 +112,9 @@ def _malformed_configs(tmp_path):
     def oracle(check, **keys):
         return {"kind": "oracle", "seed": 0, "oracle": {"check": check, **keys}}
 
-    def conditional(method="value-weighted", **keys):
-        return {"kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
-                "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
-                "conditional": {"label": 1, "samples": 10, "method": method, **keys}}
+    def classifier(**sections):
+        return finetune(base={**mixture, "means": [[-3.0], [3.0]]},
+                        reward={"kind": "classifier", "label": 1}, **sections)
 
     def sweep(*names):
         sub = oracle("two-state", steps=1)
@@ -165,16 +164,20 @@ def _malformed_configs(tmp_path):
         "affine-quadratic-reward": ("guide", guide("affine", reward={"kind": "quadratic", "A": [[1.0]]})),
         "affine-mixture-base": ("guide", guide("affine", base={**mixture, "means": [[-1.0], [1.0]]})),
         "path-integral-few-rollouts": ("guide.rollouts", guide("path-integral", guide={"rollouts": 10})),
-        "posterior-label-outside-base": ("guide.label", guide("posterior", guide={"label": 3})),
+        "posterior-label-outside-base": ("reward", guide(
+            "posterior", base={**mixture, "means": [[-3.0], [3.0]]},
+            reward={"kind": "classifier", "label": 3})),
+        # Posterior guidance takes its label from the classifier reward.
+        "posterior-linear-reward": ("guide.estimator", guide("posterior")),
+        # Conditional generation is a finetune or guide run with a classifier reward.
+        "conditional-kind": ("kind", {
+            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
+            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
+            "conditional": {"label": 1, "samples": 10}}),
         "conditional-finetune-without-section": ("finetune", {
-            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
-            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
-            "conditional": {"label": 1, "samples": 10, "method": "ppo"}}),
-        "conditional-rollin-above-steps": ("finetune.rollin", {
-            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
-            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"},
-            "conditional": {"label": 1, "samples": 10, "method": "pcl"},
-            "finetune": {"algorithm": "pcl", "rollin": "mixture:9", "iterations": 1}}),
+            key: v for key, v in classifier().items() if key != "finetune"}),
+        "conditional-rollin-above-steps": ("finetune.rollin", classifier(
+            finetune={"algorithm": "pcl", "rollin": "mixture:9", "iterations": 1})),
         "eval-missing-samples": ("eval.samples_a", {
             "kind": "eval", "eval": {"samples_a": str(tmp_path / "missing.csv"), "reference": {}}}),
         # Every section validate_config reads must be a mapping.
@@ -182,9 +185,6 @@ def _malformed_configs(tmp_path):
         "oracle-not-a-mapping": ("oracle", {**grid_oracle, "oracle": 5}),
         "oracle-grid-not-a-mapping": ("oracle.grid", {
             **grid_oracle, "oracle": {**grid_oracle["oracle"], "grid": 5}}),
-        "conditional-not-a-mapping": ("conditional", {
-            "kind": "conditional", "seed": 0, "base": {**mixture, "means": [[-3.0], [3.0]]},
-            "schedule": {"steps": 4, "horizon": 2.0}, "policy": {"kind": "analytic"}, "conditional": 5}),
         "eval-not-a-mapping": ("eval", {"kind": "eval", "eval": 5}),
         "eval-reference-not-a-mapping": ("eval.reference", {
             "kind": "eval", "eval": {"samples_a": str(samples), "reference": 5}}),
@@ -201,6 +201,9 @@ def _malformed_configs(tmp_path):
             finetune={"algorithm": "pcl", "iterations": 1, "value_hidden": ["a"]})),
         "lr-final-key": ("finetune", finetune(
             finetune={"algorithm": "backprop", "iterations": 2, "lr_final": 0.001})),
+        # The deleted value-step learning rate, split as above.
+        "value-lr-key": ("finetune", finetune(
+            finetune={"algorithm": "pcl", "iterations": 1, "value_" "lr": 0.001})),
         "guide-samples-not-a-number": ("guide.samples", guide("zero", guide={"samples": "x"})),
         "guide-samples-zero": ("guide.samples", guide("zero", guide={"samples": 0})),
         "guide-fit-steps-not-a-number": ("guide.fit_steps", guide("mc", guide={"fit_steps": "x"})),
@@ -211,8 +214,6 @@ def _malformed_configs(tmp_path):
         "two-state-init-not-numbers": ("oracle.init", oracle("two-state", init="x")),
         "grid-steps-not-a-number": ("oracle.steps", {
             **grid_oracle, "oracle": {**grid_oracle["oracle"], "steps": "x"}}),
-        "conditional-alpha-zero": ("conditional.alpha", conditional(alpha=0)),
-        "conditional-samples-not-a-number": ("conditional.samples", conditional(samples="x")),
         "eval-reference-var-not-a-number": ("eval.reference.var", {
             "kind": "eval", "eval": {"samples_a": str(samples), "reference": {"var": "x"}}}),
         # The sample dimension is read from samples_a's header before the run.
@@ -223,8 +224,6 @@ def _malformed_configs(tmp_path):
             "reward": {"kind": "linear", "a": [1.0, 2.0]}}),
         "sweep-names-repeat": ("runs[1].name", sweep("same", "same")),
         "sweep-name-escapes": ("runs[0].name", sweep("../escaped")),
-        "conditional-method-clashes-with-algorithm": ("conditional.method", {
-            **conditional("ppo"), "finetune": {"algorithm": "backprop", "iterations": 1}}),
     }
 
 
@@ -232,19 +231,18 @@ def _malformed_configs(tmp_path):
     "mixture-without-means", "ragged-means", "reward-wider-than-base", "steps-not-a-number",
     "rollin-switch-above-steps", "rollin-extra-field", "final-step-noise-key",
     "affine-quadratic-reward", "affine-mixture-base",
-    "path-integral-few-rollouts", "posterior-label-outside-base",
-    "conditional-finetune-without-section", "conditional-rollin-above-steps", "eval-missing-samples",
-    "guide-not-a-mapping", "oracle-not-a-mapping", "oracle-grid-not-a-mapping",
-    "conditional-not-a-mapping", "eval-not-a-mapping", "eval-reference-not-a-mapping",
+    "path-integral-few-rollouts", "posterior-label-outside-base", "posterior-linear-reward",
+    "conditional-kind", "conditional-finetune-without-section", "conditional-rollin-above-steps",
+    "eval-missing-samples", "guide-not-a-mapping", "oracle-not-a-mapping", "oracle-grid-not-a-mapping",
+    "eval-not-a-mapping", "eval-reference-not-a-mapping",
     "eval-samples-not-a-number", "eval-samples-zero", "checkpoint-every-not-a-number",
     "dump-trajectories-negative", "pretrain-steps-zero", "pretrain-lr-not-a-number",
-    "analytic-policy-hidden-not-widths", "value-hidden-not-widths", "lr-final-key",
+    "analytic-policy-hidden-not-widths", "value-hidden-not-widths", "lr-final-key", "value-lr-key",
     "guide-samples-not-a-number", "guide-samples-zero", "guide-fit-steps-not-a-number",
     "mala-samples-not-a-number", "mala-step-zero", "tilt-var-not-a-number", "two-state-steps-zero",
-    "two-state-init-not-numbers", "grid-steps-not-a-number", "conditional-alpha-zero",
-    "conditional-samples-not-a-number", "eval-reference-var-not-a-number",
+    "two-state-init-not-numbers", "grid-steps-not-a-number", "eval-reference-var-not-a-number",
     "eval-reference-mean-wrong-dim", "eval-reward-wrong-dim",
-    "sweep-names-repeat", "sweep-name-escapes", "conditional-method-clashes-with-algorithm",
+    "sweep-names-repeat", "sweep-name-escapes",
     *[f"eval-samples-{key}-{name}" for key in "ab" for name in _BAD_SAMPLE_FILES],
     "eval-samples-a-too-few", "eval-samples-b-too-few",
 ])
@@ -386,14 +384,16 @@ def test_guide_run_zero_estimator(tmp_path):
 
 
 def test_conditional_run_two_dim_counts_label_component(tmp_path):
+    # Conditional generation by guidance: a classifier reward and the posterior estimator.
     cfg = {
-        "kind": "conditional",
+        "kind": "guide",
         "seed": 0,
         "base": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-3.0, -1.0], [3.0, 1.0]],
                  "stds": [1.0, 1.0]},
         "schedule": {"steps": 32, "horizon": 6.0},
         "policy": {"kind": "analytic"},
-        "conditional": {"label": 0, "samples": 400, "method": "value-weighted"},
+        "reward": {"kind": "classifier", "label": 0},
+        "guide": {"estimator": "posterior", "samples": 400},
     }
     out = tmp_path / "c"
     assert run_experiment(cfg, out) == 0
@@ -407,24 +407,23 @@ def test_conditional_run_two_dim_counts_label_component(tmp_path):
 
 
 def test_finetuned_conditional_policy_reads_policy_keys_and_seed():
-    # A conditional method that names an algorithm trains the policy, so an
-    # analytic policy gets the residual net of policy.hidden and
-    # policy.activation, initialised from the run's seed as a finetune run's is.
+    # A finetune run with a classifier reward trains the policy, so an analytic
+    # policy gets the residual net of policy.hidden and policy.activation,
+    # initialised from the run's seed whatever the reward.
     chain = {"base": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-3.0], [3.0]],
                       "stds": [1.0, 1.0]},
              "schedule": {"steps": 4, "horizon": 2.0},
-             "policy": {"kind": "analytic", "hidden": [8], "activation": "relu"}}
-    cfg = {"kind": "conditional", "seed": 5, **chain, "finetune": {"algorithm": "ppo", "iterations": 1},
-           "conditional": {"label": 1, "samples": 10, "method": "ppo"}}
+             "policy": {"kind": "analytic", "hidden": [8], "activation": "relu"},
+             "reward": {"kind": "classifier", "label": 1}}
+    cfg = {"kind": "finetune", "seed": 5, **chain, "finetune": {"algorithm": "ppo", "iterations": 1}}
     net = validate_config(cfg).policy.net
     assert net is not None and net.widths == [3, 8, 1] and net.activation == "relu"
-    finetune = validate_config({"kind": "finetune", "seed": 5, **chain, "reward": {"kind": "linear", "a": [1.0]},
-                                "finetune": {"algorithm": "ppo", "iterations": 1}})
-    assert all(np.array_equal(net.params[k], v) for k, v in finetune.policy.net.params.items())
+    linear = validate_config({**cfg, "reward": {"kind": "linear", "a": [1.0]}})
+    assert all(np.array_equal(net.params[k], v) for k, v in linear.policy.net.params.items())
     other_seed = validate_config({**cfg, "seed": 6}).policy.net
     assert not np.array_equal(other_seed.params["w0"], net.params["w0"])
-    value_weighted = {**cfg, "conditional": {"label": 1, "samples": 10, "method": "value-weighted"}}
-    assert validate_config(value_weighted).policy.net is None
+    guided = {"kind": "guide", "seed": 5, **chain, "guide": {"estimator": "posterior", "samples": 10}}
+    assert validate_config(guided).policy.net is None
 
 
 def test_finetune_log_closed_when_training_fails(tmp_path, monkeypatch, capsys):
@@ -635,6 +634,16 @@ def test_cli_seed_override_changes_samples(tmp_path):
 def test_cli_missing_out(tmp_path):
     cfg_path = write_cfg(tmp_path, tiny_finetune_cfg())
     assert main(["finetune", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_has_no_conditional_subcommand(tmp_path, capsys):
+    # Conditional generation runs as `guide` or `finetune` with a classifier reward.
+    cfg_path = write_cfg(tmp_path, {"kind": "conditional"})
+    with pytest.raises(SystemExit) as exc:
+        main(["conditional", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'conditional'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_two_dim_finetune_reports_gap_to_factorized_target(tmp_path):

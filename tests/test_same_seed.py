@@ -71,4 +71,6 @@ def test_run_list_covers_every_config_and_the_variants():
     assert sorted(trees[n]["finetune"]["algorithm"] for n in live) == ["pcl", "weighted-mle"]
     # Every checkpoint a run reads is written by an earlier run.
     assert all(names.index(trees[n]["policy"]["checkpoint"].split("/")[0]) < names.index(n) for n in live)
-    assert trees["conditional_ppo"]["conditional"]["method"] == "ppo"
+    classifier = trees["classifier_ppo"]
+    assert classifier["kind"] == "finetune" and classifier["finetune"]["algorithm"] == "ppo"
+    assert classifier["reward"] == trees["guide_posterior"]["reward"] == {"kind": "classifier", "label": 1}
